@@ -10,7 +10,10 @@
 //     memory, but every access to an object that is not resident in the
 //     pool charges one read I/O per block the object spans, and every
 //     eviction of a dirty object charges one write I/O per block —
-//     exactly the accounting of the model.
+//     exactly the accounting of the model. The LRU is an intrusive
+//     doubly linked list threaded through a slot array (map from key to
+//     slot index, freed slots reused), so a pool access allocates
+//     nothing once the array has grown to the pool's residency.
 //   - Store[T]: a typed object store bound to a Disk. Each object reports
 //     its size in words; the store derives the number of blocks it spans
 //     and enforces capacity invariants declared by callers.
@@ -19,10 +22,7 @@
 // on a shared Disk so one experiment has a single, coherent I/O meter.
 package em
 
-import (
-	"container/list"
-	"fmt"
-)
+import "fmt"
 
 // Word is the machine word of the model. The paper requires a word of
 // Ω(lg n) bits; 64 bits comfortably covers every input size used here.
@@ -105,11 +105,17 @@ type Handle int64
 const NilHandle Handle = 0
 
 // resident is one buffer-pool entry: an object currently in memory.
+// prev and next link it into the LRU list by slot index.
 type resident struct {
-	key   poolKey
-	span  int // blocks occupied while resident
-	dirty bool
+	key        poolKey
+	span       int32 // blocks occupied while resident (≤ frames)
+	prev, next int32
+	dirty      bool
 }
+
+// lruHead is the sentinel slot: its next is the most recently used
+// resident, its prev the least recently used one.
+const lruHead int32 = 0
 
 type poolKey struct {
 	store  int32
@@ -125,9 +131,10 @@ type Disk struct {
 	stats  Stats
 	frames int // pool capacity in blocks
 
-	used    int // blocks currently resident
-	lru     *list.List
-	present map[poolKey]*list.Element
+	used    int        // blocks currently resident
+	slots   []resident // slots[lruHead] is the list sentinel
+	free    int32      // head of the free-slot chain (via next); 0 = none
+	present map[poolKey]int32
 
 	nextStore int32
 	spanOf    map[poolKey]int // live object spans, for space accounting
@@ -139,8 +146,8 @@ func NewDisk(cfg Config) *Disk {
 	return &Disk{
 		cfg:     cfg,
 		frames:  cfg.M / cfg.B,
-		lru:     list.New(),
-		present: make(map[poolKey]*list.Element),
+		slots:   make([]resident, 1),
+		present: make(map[poolKey]int32),
 		spanOf:  make(map[poolKey]int),
 	}
 }
@@ -170,7 +177,7 @@ func (d *Disk) Resize(m int) {
 	}
 	d.cfg.M = m
 	d.frames = m / d.cfg.B
-	for d.used > d.frames && d.lru.Len() > 0 {
+	for d.used > d.frames && len(d.present) > 0 {
 		d.evictOne()
 	}
 }
@@ -186,7 +193,7 @@ func (d *Disk) ResetMeter() {
 // objects), so the next access to any object is a cold read. Benches call
 // this to measure cold-cache query costs.
 func (d *Disk) DropCache() {
-	for d.lru.Len() > 0 {
+	for len(d.present) > 0 {
 		d.evictOne()
 	}
 }
@@ -199,22 +206,67 @@ func (d *Disk) SpanFor(words int) int {
 	return (words + d.cfg.B - 1) / d.cfg.B
 }
 
-func (d *Disk) evictOne() {
-	back := d.lru.Back()
-	if back == nil {
-		panic("em: buffer pool empty during eviction")
+// unlink detaches slot i from the LRU list.
+func (d *Disk) unlink(i int32) {
+	r := &d.slots[i]
+	d.slots[r.prev].next = r.next
+	d.slots[r.next].prev = r.prev
+}
+
+// pushFront links slot i in as the most recently used resident.
+func (d *Disk) pushFront(i int32) {
+	head := &d.slots[lruHead]
+	r := &d.slots[i]
+	r.prev, r.next = lruHead, head.next
+	d.slots[head.next].prev = i
+	head.next = i
+}
+
+// admit makes key resident with the given span as the most recently
+// used entry, reusing a freed slot when there is one.
+func (d *Disk) admit(key poolKey, span int, dirty bool) {
+	i := d.free
+	if i != lruHead {
+		d.free = d.slots[i].next
+	} else {
+		i = int32(len(d.slots))
+		d.slots = append(d.slots, resident{})
 	}
-	r := back.Value.(*resident)
-	if r.dirty && !d.cfg.WriteThrough {
+	d.slots[i] = resident{key: key, span: int32(span), dirty: dirty}
+	d.pushFront(i)
+	d.present[key] = i
+	d.used += span
+}
+
+// drop removes resident slot i from the pool (no I/O) and frees it.
+func (d *Disk) drop(i int32) {
+	r := &d.slots[i]
+	d.used -= int(r.span)
+	delete(d.present, r.key)
+	d.unlink(i)
+	r.next = d.free
+	d.free = i
+}
+
+// evict writes back slot i if it is dirty under write-back, then drops
+// it.
+func (d *Disk) evict(i int32) {
+	if r := &d.slots[i]; r.dirty && !d.cfg.WriteThrough {
 		d.stats.Writes += int64(r.span)
 	}
-	d.used -= r.span
-	delete(d.present, r.key)
-	d.lru.Remove(back)
+	d.drop(i)
+}
+
+func (d *Disk) evictOne() {
+	back := d.slots[lruHead].prev
+	if back == lruHead {
+		panic("em: buffer pool empty during eviction")
+	}
+	d.evict(back)
 }
 
 func (d *Disk) ensureRoom(span int) {
-	for d.used+span > d.frames && d.lru.Len() > 0 {
+	for d.used+span > d.frames && len(d.present) > 0 {
 		d.evictOne()
 	}
 }
@@ -232,54 +284,41 @@ func (d *Disk) touch(key poolKey, span int, dirty bool) {
 		}
 		return
 	}
-	if el, ok := d.present[key]; ok {
-		r := el.Value.(*resident)
-		if r.span != span {
+	if i, ok := d.present[key]; ok {
+		if old := int(d.slots[i].span); old != span {
 			// Object grew or shrank while resident; adjust occupancy.
-			d.ensureRoomExcept(span-r.span, el)
-			d.used += span - r.span
-			r.span = span
+			d.ensureRoomExcept(span-old, i)
+			d.used += span - old
+			d.slots[i].span = int32(span)
 		}
 		if dirty {
 			if d.cfg.WriteThrough {
 				d.stats.Writes += int64(span)
 			} else {
-				r.dirty = true
+				d.slots[i].dirty = true
 			}
 		}
-		d.lru.MoveToFront(el)
+		d.unlink(i)
+		d.pushFront(i)
 		return
 	}
 	d.ensureRoom(span)
 	d.stats.Reads += int64(span)
-	r := &resident{key: key, span: span}
-	if dirty {
-		if d.cfg.WriteThrough {
-			d.stats.Writes += int64(span)
-		} else {
-			r.dirty = true
-		}
+	if dirty && d.cfg.WriteThrough {
+		d.stats.Writes += int64(span)
 	}
-	d.present[key] = d.lru.PushFront(r)
-	d.used += span
+	d.admit(key, span, dirty && !d.cfg.WriteThrough)
 }
 
-func (d *Disk) ensureRoomExcept(extra int, keep *list.Element) {
-	for d.used+extra > d.frames && d.lru.Len() > 1 {
-		back := d.lru.Back()
+// ensureRoomExcept evicts from the LRU end, never evicting keep, until
+// extra more blocks fit or keep is the only resident.
+func (d *Disk) ensureRoomExcept(extra int, keep int32) {
+	for d.used+extra > d.frames && len(d.present) > 1 {
+		back := d.slots[lruHead].prev
 		if back == keep {
-			back = back.Prev()
-			if back == nil {
-				return
-			}
+			back = d.slots[back].prev
 		}
-		r := back.Value.(*resident)
-		if r.dirty && !d.cfg.WriteThrough {
-			d.stats.Writes += int64(r.span)
-		}
-		d.used -= r.span
-		delete(d.present, r.key)
-		d.lru.Remove(back)
+		d.evict(back)
 	}
 }
 
@@ -302,12 +341,10 @@ func (d *Disk) createFresh(key poolKey, span int) {
 		panic("em: double allocation of handle")
 	}
 	d.ensureRoom(span)
-	r := &resident{key: key, span: span, dirty: !d.cfg.WriteThrough}
 	if d.cfg.WriteThrough {
 		d.stats.Writes += int64(span)
 	}
-	d.present[key] = d.lru.PushFront(r)
-	d.used += span
+	d.admit(key, span, !d.cfg.WriteThrough)
 }
 
 func (d *Disk) resize(key poolKey, span int) {
@@ -324,11 +361,8 @@ func (d *Disk) release(key poolKey) {
 	delete(d.spanOf, key)
 	d.stats.Frees++
 	d.stats.BlocksLive -= int64(span)
-	if el, ok := d.present[key]; ok {
-		r := el.Value.(*resident)
-		d.used -= r.span
-		delete(d.present, key)
-		d.lru.Remove(el)
+	if i, ok := d.present[key]; ok {
+		d.drop(i)
 	}
 }
 

@@ -43,9 +43,10 @@
 package flgroup
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/em"
@@ -324,7 +325,7 @@ func (g *Group) TopIn(a1, a2, m int) []float64 {
 			out = append(out, v)
 		}
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
+	slices.SortFunc(out, func(a, b float64) int { return cmp.Compare(b, a) })
 	if len(out) > m {
 		out = out[:m]
 	}

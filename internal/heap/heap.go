@@ -19,8 +19,9 @@
 package heap
 
 import (
+	"cmp"
 	stdheap "container/heap"
-	"sort"
+	"slices"
 
 	"repro/internal/em"
 )
@@ -282,6 +283,6 @@ func TopKeys(src Source, t int) []float64 {
 	for i, e := range es {
 		keys[i] = e.Key
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(keys)))
+	slices.SortFunc(keys, func(a, b float64) int { return cmp.Compare(b, a) })
 	return keys
 }

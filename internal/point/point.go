@@ -9,8 +9,10 @@
 package point
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"math/bits"
+	"slices"
 )
 
 // P is an input element: position X with score Score.
@@ -42,12 +44,132 @@ func (p P) In(x1, x2 float64) bool { return x1 <= p.X && p.X <= x2 }
 
 // SortByX sorts ps ascending by X (score tiebreak).
 func SortByX(ps []P) {
-	sort.Slice(ps, func(i, j int) bool { return Less(ps[i], ps[j]) })
+	slices.SortFunc(ps, func(a, b P) int {
+		if c := cmp.Compare(a.X, b.X); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Score, b.Score)
+	})
 }
 
 // SortByScoreDesc sorts ps by descending score.
 func SortByScoreDesc(ps []P) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].Score > ps[j].Score })
+	slices.SortFunc(ps, func(a, b P) int { return cmp.Compare(b.Score, a.Score) })
+}
+
+// KthLargest returns the k-th largest value of xs (1 ≤ k ≤ len(xs)),
+// reordering xs in place. It is quickselect with a median-of-three
+// pivot; after about 2·lg n partition passes without reaching rank k it
+// finishes by heap selection, so no input takes more than O(n log n)
+// comparisons, and typical inputs take O(n).
+func KthLargest(xs []float64, k int) float64 {
+	v, _ := kthLargest(xs, k, selectBudget(len(xs)))
+	return v
+}
+
+// selectBudget is the number of partition passes KthLargest allows on
+// n elements before falling back to heap selection.
+func selectBudget(n int) int { return 2 * bits.Len(uint(n)) }
+
+// kthLargest is KthLargest with an explicit partition-pass budget; it
+// also returns the number of element comparisons it made.
+func kthLargest(xs []float64, k, budget int) (v float64, cmps int) {
+	if k < 1 || k > len(xs) {
+		panic("point: KthLargest rank outside [1, len]")
+	}
+	t := k - 1 // target index in descending order
+	lo, hi := 0, len(xs)-1
+	for hi-lo > 12 {
+		if budget == 0 {
+			return heapSelect(xs[lo:hi+1], t-lo, cmps)
+		}
+		budget--
+		// Median of three: xs[lo] ≥ xs[mid] ≥ xs[hi], pivot to lo+1.
+		mid := lo + (hi-lo)/2
+		if xs[mid] > xs[lo] {
+			xs[mid], xs[lo] = xs[lo], xs[mid]
+		}
+		if xs[hi] > xs[mid] {
+			xs[hi], xs[mid] = xs[mid], xs[hi]
+			if xs[mid] > xs[lo] {
+				xs[mid], xs[lo] = xs[lo], xs[mid]
+			}
+		}
+		cmps += 3
+		xs[mid], xs[lo+1] = xs[lo+1], xs[mid]
+		pivot := xs[lo+1]
+		// xs[hi] ≤ pivot and xs[lo+1] = pivot bound both scans.
+		i, j := lo+1, hi
+		for {
+			for i++; xs[i] > pivot; i++ {
+				cmps++
+			}
+			for j--; xs[j] < pivot; j-- {
+				cmps++
+			}
+			cmps += 2
+			if i >= j {
+				break
+			}
+			xs[i], xs[j] = xs[j], xs[i]
+		}
+		xs[lo+1], xs[j] = xs[j], xs[lo+1]
+		// xs[lo:j] ≥ pivot = xs[j] ≥ xs[j+1:hi+1].
+		switch {
+		case t == j:
+			return pivot, cmps
+		case t < j:
+			hi = j - 1
+		default:
+			lo = j + 1
+		}
+	}
+	for i := lo + 1; i <= hi; i++ {
+		for j := i; j > lo; j-- {
+			cmps++
+			if xs[j] <= xs[j-1] {
+				break
+			}
+			xs[j], xs[j-1] = xs[j-1], xs[j]
+		}
+	}
+	return xs[t], cmps
+}
+
+// heapSelect returns the element of descending rank r (0-based) of xs
+// by building a max-heap and popping r times.
+func heapSelect(xs []float64, r, cmps int) (float64, int) {
+	n := len(xs)
+	for i := n/2 - 1; i >= 0; i-- {
+		cmps = siftDown(xs, i, n, cmps)
+	}
+	for ; r > 0; r-- {
+		n--
+		xs[0], xs[n] = xs[n], xs[0]
+		cmps = siftDown(xs, 0, n, cmps)
+	}
+	return xs[0], cmps
+}
+
+func siftDown(xs []float64, i, n, cmps int) int {
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return cmps
+		}
+		if c+1 < n {
+			cmps++
+			if xs[c+1] > xs[c] {
+				c++
+			}
+		}
+		cmps++
+		if !(xs[c] > xs[i]) {
+			return cmps
+		}
+		xs[i], xs[c] = xs[c], xs[i]
+		i = c
+	}
 }
 
 // TopK returns the k highest-scoring points of ps that lie in [x1, x2],

@@ -16,11 +16,14 @@ import (
 // The paper places a full structure of [14] at every leaf because its
 // leaves hold b = f·l·B points and need in-leaf approximate range
 // k-selection in O(log_B b) I/Os. Our leaf selection reads the
-// overlapping chunks and selects exactly in memory, costing
-// O(|leaf ∩ q|/B + log) I/Os — identical for boundary leaves, whose
-// qualifying portion a reporting query pays for anyway, and strictly
-// better on updates (the toplists reconstruction of our [14] substitute
-// would cost O(K/B) per update; see DESIGN.md substitution 3).
+// overlapping chunks, gathers the in-range scores into the tree's
+// scratch buffer and takes the k-th largest by quickselect (no copy of
+// the points, no sort), costing O(|leaf ∩ q|/B + log) I/Os — identical
+// for boundary leaves, whose qualifying portion a reporting query pays
+// for anyway, and strictly better on updates (the toplists
+// reconstruction of our [14] substitute would cost O(K/B) per update;
+// see DESIGN.md substitution 3). Counting reads the same chunks and
+// builds nothing.
 
 // chunkCap returns the points per chunk (one block).
 func (t *Tree) chunkCap() int {
@@ -94,27 +97,31 @@ func (t *Tree) leafDelete(h em.Handle, p point.P) bool {
 	return false
 }
 
-// leafInRange returns the leaf's points with x ∈ [x1, x2], reading only
-// overlapping chunks.
-func (t *Tree) leafInRange(h em.Handle, x1, x2 float64) []point.P {
+// chunkOverlaps reports whether chunk j of leaf nd can hold points
+// with x ∈ [x1, x2].
+func chunkOverlaps(nd *node, j int, x1, x2 float64) bool {
+	chi := nd.hi
+	if j+1 < len(nd.kids) {
+		chi = nd.kidLo[j+1]
+	}
+	return chi > x1 && nd.kidLo[j] <= x2
+}
+
+// leafScores appends to buf the scores of the leaf's points with
+// x ∈ [x1, x2], reading only overlapping chunks.
+func (t *Tree) leafScores(h em.Handle, x1, x2 float64, buf []float64) []float64 {
 	nd := t.store.Read(h)
-	var out []point.P
 	for j, ch := range nd.kids {
-		clo := nd.kidLo[j]
-		chi := nd.hi
-		if j+1 < len(nd.kids) {
-			chi = nd.kidLo[j+1]
-		}
-		if chi <= x1 || clo > x2 {
+		if !chunkOverlaps(nd, j, x1, x2) {
 			continue
 		}
 		for _, p := range t.chunks.Read(ch) {
 			if p.In(x1, x2) {
-				out = append(out, p)
+				buf = append(buf, p.Score)
 			}
 		}
 	}
-	return out
+	return buf
 }
 
 // leafAll returns every point of the leaf.
@@ -127,20 +134,32 @@ func (t *Tree) leafAll(h em.Handle) []point.P {
 	return out
 }
 
-// leafCount counts the leaf's points in [x1, x2].
+// leafCount counts the leaf's points in [x1, x2], reading the same
+// chunks as leafScores.
 func (t *Tree) leafCount(h em.Handle, x1, x2 float64) int {
-	return len(t.leafInRange(h, x1, x2))
+	nd := t.store.Read(h)
+	n := 0
+	for j, ch := range nd.kids {
+		if !chunkOverlaps(nd, j, x1, x2) {
+			continue
+		}
+		for _, p := range t.chunks.Read(ch) {
+			if p.In(x1, x2) {
+				n++
+			}
+		}
+	}
+	return n
 }
 
-// leafSelect returns the point of exact score-rank k among the leaf's
-// points in [x1, x2].
-func (t *Tree) leafSelect(h em.Handle, x1, x2 float64, k int) (point.P, bool) {
-	in := t.leafInRange(h, x1, x2)
-	if len(in) < k || k < 1 {
-		return point.P{}, false
+// leafSelect returns the score of exact rank k among the leaf's points
+// in [x1, x2]. It gathers into t.scratch (see Tree.scratch).
+func (t *Tree) leafSelect(h em.Handle, x1, x2 float64, k int) (float64, bool) {
+	t.scratch = t.leafScores(h, x1, x2, t.scratch[:0])
+	if len(t.scratch) < k || k < 1 {
+		return 0, false
 	}
-	point.SortByScoreDesc(in)
-	return in[k-1], true
+	return point.KthLargest(t.scratch, k), true
 }
 
 // leafLen returns the number of points stored at the leaf.

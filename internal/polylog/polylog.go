@@ -36,9 +36,10 @@
 package polylog
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/em"
@@ -121,6 +122,13 @@ type Tree struct {
 	// Fallbacks counts queries that left the AURS fast path (degenerate
 	// regime detection, experiment E11).
 	Fallbacks int
+
+	// scratch is the reused buffer leaf selection gathers scores into.
+	// Sharing it across calls is safe only because a Tree is used by one
+	// goroutine at a time: every query already mutates the buffer pool's
+	// LRU state, so each shard's machine is serialized by its lock
+	// (DESIGN.md substitution 1).
+	scratch []float64
 }
 
 // New returns an empty structure.
@@ -282,11 +290,7 @@ func (t *Tree) nextBest(u em.Handle, nd *node) (float64, bool) {
 		if want > nd.weight {
 			return 0, false
 		}
-		pt, ok := t.leafSelect(u, math.Inf(-1), math.Inf(1), want)
-		if !ok {
-			return 0, false
-		}
-		return pt.Score, true
+		return t.leafSelect(u, math.Inf(-1), math.Inf(1), want)
 	}
 	return t.fl[u].SelectExact(want)
 }
@@ -415,7 +419,7 @@ func (t *Tree) rebuildSecondary(u em.Handle) {
 	}
 	t.fl[u] = g
 	// G_u = top c2·l of the union.
-	sort.Sort(sort.Reverse(sort.Float64Slice(all)))
+	slices.SortFunc(all, func(a, b float64) int { return cmp.Compare(b, a) })
 	if len(all) > t.guCap() {
 		all = all[:t.guCap()]
 	}

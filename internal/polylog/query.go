@@ -2,7 +2,6 @@ package polylog
 
 import (
 	"math"
-	"sort"
 
 	"repro/internal/aurs"
 	"repro/internal/em"
@@ -131,14 +130,11 @@ func (t *Tree) SelectApprox(x1, x2 float64, k int) (float64, bool) {
 	var merged []float64
 	for _, pc := range pieces {
 		if pc.isLeaf {
-			in := t.leafInRange(pc.node, x1, x2)
-			if len(in) >= k {
-				point.SortByScoreDesc(in)
-				cands = append(cands, in[k-1].Score)
+			t.scratch = t.leafScores(pc.node, x1, x2, t.scratch[:0])
+			if len(t.scratch) >= k {
+				cands = append(cands, point.KthLargest(t.scratch, k))
 			} else {
-				for _, p := range in {
-					merged = append(merged, p.Score)
-				}
+				merged = append(merged, t.scratch...)
 			}
 			continue
 		}
@@ -161,8 +157,7 @@ func (t *Tree) SelectApprox(x1, x2 float64, k int) (float64, bool) {
 		cands = append(cands, aurs.Select(slabs, c1, k))
 	}
 	if len(merged) >= k {
-		sort.Sort(sort.Reverse(sort.Float64Slice(merged)))
-		cands = append(cands, merged[k-1])
+		cands = append(cands, point.KthLargest(merged, k))
 	}
 	if len(cands) == 0 || t.Count(x1, x2) < k {
 		return 0, false

@@ -222,13 +222,13 @@ func (p *PST) selectAdaptive(src *heapSrc, t, k int, collect func(vid), cands *[
 		// Π roots are bounded only by path pilots (already in Q1).
 		frontier = append(frontier, fe{e, math.Inf(1)})
 	}
+	var scores []float64 // reused across iterations
 	kth := func() float64 {
-		if len(*cands) < k {
-			return math.Inf(-1)
+		scores = scores[:0]
+		for _, c := range *cands {
+			scores = append(scores, c.Score)
 		}
-		tmp := append([]point.P(nil), *cands...)
-		point.SortByScoreDesc(tmp)
-		return tmp[k-1].Score
+		return point.KthLargest(scores, k)
 	}
 	for len(out) < t && len(frontier) > 0 {
 		bi := 0
