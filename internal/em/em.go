@@ -117,10 +117,26 @@ type resident struct {
 // resident, its prev the least recently used one.
 const lruHead int32 = 0
 
+// poolKey names one object on a Disk: its store and its handle. The
+// pool's maps key on its packed form, one uint64 with the store id in
+// the top storeBits bits and the handle below, so every lookup takes
+// the runtime's 64-bit map fast path instead of hashing a padded
+// 16-byte struct.
 type poolKey struct {
 	store  int32
 	handle Handle
 }
+
+// The packed key's split: 2^28 stores per Disk (a store is created per
+// B-tree, so per polylog node and flgroup set) and 2^36 allocations
+// per store. NewStore and Alloc panic rather than let a field overflow
+// into its neighbour.
+const (
+	storeBits  = 28
+	handleBits = 64 - storeBits
+)
+
+func (k poolKey) packed() uint64 { return uint64(k.store)<<handleBits | uint64(k.handle) }
 
 // Disk is a simulated EM machine: meter + buffer pool.
 //
@@ -131,13 +147,13 @@ type Disk struct {
 	stats  Stats
 	frames int // pool capacity in blocks
 
-	used    int        // blocks currently resident
-	slots   []resident // slots[lruHead] is the list sentinel
-	free    int32      // head of the free-slot chain (via next); 0 = none
-	present map[poolKey]int32
+	used    int              // blocks currently resident
+	slots   []resident       // slots[lruHead] is the list sentinel
+	free    int32            // head of the free-slot chain (via next); 0 = none
+	present map[uint64]int32 // packed poolKey → slot
 
 	nextStore int32
-	spanOf    map[poolKey]int // live object spans, for space accounting
+	spanOf    map[uint64]int // packed poolKey → live span, for space accounting
 }
 
 // NewDisk creates a Disk for the given configuration.
@@ -147,8 +163,8 @@ func NewDisk(cfg Config) *Disk {
 		cfg:     cfg,
 		frames:  cfg.M / cfg.B,
 		slots:   make([]resident, 1),
-		present: make(map[poolKey]int32),
-		spanOf:  make(map[poolKey]int),
+		present: make(map[uint64]int32),
+		spanOf:  make(map[uint64]int),
 	}
 }
 
@@ -234,7 +250,7 @@ func (d *Disk) admit(key poolKey, span int, dirty bool) {
 	}
 	d.slots[i] = resident{key: key, span: int32(span), dirty: dirty}
 	d.pushFront(i)
-	d.present[key] = i
+	d.present[key.packed()] = i
 	d.used += span
 }
 
@@ -242,7 +258,7 @@ func (d *Disk) admit(key poolKey, span int, dirty bool) {
 func (d *Disk) drop(i int32) {
 	r := &d.slots[i]
 	d.used -= int(r.span)
-	delete(d.present, r.key)
+	delete(d.present, r.key.packed())
 	d.unlink(i)
 	r.next = d.free
 	d.free = i
@@ -284,7 +300,7 @@ func (d *Disk) touch(key poolKey, span int, dirty bool) {
 		}
 		return
 	}
-	if i, ok := d.present[key]; ok {
+	if i, ok := d.present[key.packed()]; ok {
 		if old := int(d.slots[i].span); old != span {
 			// Object grew or shrank while resident; adjust occupancy.
 			d.ensureRoomExcept(span-old, i)
@@ -332,12 +348,12 @@ func (d *Disk) createFresh(key poolKey, span int) {
 	if d.stats.BlocksLive > d.stats.BlocksPeak {
 		d.stats.BlocksPeak = d.stats.BlocksLive
 	}
-	d.spanOf[key] = span
+	d.spanOf[key.packed()] = span
 	if span > d.frames {
 		d.stats.Writes += int64(span)
 		return
 	}
-	if _, ok := d.present[key]; ok {
+	if _, ok := d.present[key.packed()]; ok {
 		panic("em: double allocation of handle")
 	}
 	d.ensureRoom(span)
@@ -348,8 +364,9 @@ func (d *Disk) createFresh(key poolKey, span int) {
 }
 
 func (d *Disk) resize(key poolKey, span int) {
-	old := d.spanOf[key]
-	d.spanOf[key] = span
+	k := key.packed()
+	old := d.spanOf[k]
+	d.spanOf[k] = span
 	d.stats.BlocksLive += int64(span - old)
 	if d.stats.BlocksLive > d.stats.BlocksPeak {
 		d.stats.BlocksPeak = d.stats.BlocksLive
@@ -357,11 +374,12 @@ func (d *Disk) resize(key poolKey, span int) {
 }
 
 func (d *Disk) release(key poolKey) {
-	span := d.spanOf[key]
-	delete(d.spanOf, key)
+	k := key.packed()
+	span := d.spanOf[k]
+	delete(d.spanOf, k)
 	d.stats.Frees++
 	d.stats.BlocksLive -= int64(span)
-	if i, ok := d.present[key]; ok {
+	if i, ok := d.present[k]; ok {
 		d.drop(i)
 	}
 }
@@ -380,6 +398,9 @@ type Store[T any] struct {
 // NewStore registers a store named name on d. sizeOf reports an object's
 // size in words; it decides how many blocks (I/Os) each access costs.
 func NewStore[T any](d *Disk, name string, sizeOf func(T) int) *Store[T] {
+	if d.nextStore >= 1<<storeBits-1 {
+		panic(fmt.Sprintf("em: store %s: more than 2^%d stores on one disk", name, storeBits))
+	}
 	d.nextStore++
 	return &Store[T]{
 		disk:   d,
@@ -398,6 +419,9 @@ func (s *Store[T]) Len() int { return len(s.objs) }
 
 // Alloc stores v as a fresh object and returns its handle.
 func (s *Store[T]) Alloc(v T) Handle {
+	if s.next >= 1<<handleBits-1 {
+		panic(fmt.Sprintf("em: %s: more than 2^%d allocations in one store", s.name, handleBits))
+	}
 	s.next++
 	h := s.next
 	s.objs[h] = v

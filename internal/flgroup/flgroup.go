@@ -34,6 +34,11 @@
 // from the prefix block when the target is inside the prefix and from
 // the B-trees otherwise.
 //
+// Build constructs the structure from f sorted sets in one pass (one
+// merge, bulk-loaded B-trees, each compressed block computed in memory
+// and written once) instead of |G| insertions; its pivots sit at the
+// canonical local ranks repair targets.
+//
 // One deliberate deviation from the paper's prose, documented here
 // because tests pin it: Lemma 8's insertion step says "if e_new should
 // not enter P_i, the insertion is complete", but an insertion anywhere
@@ -86,8 +91,29 @@ func New(d *em.Disk, f, l int) *Group {
 // NewBase creates the structure with an explicit sketch base (for the
 // base ablation experiment).
 func NewBase(d *em.Disk, f, l, base int) *Group {
+	return build(d, f, l, base, make([][]float64, f))
+}
+
+// Build returns the structure over f disjoint sets, each sorted
+// ascending and holding at most l values, constructed in one pass
+// instead of |G| insertions: the B-trees are bulk-loaded (btree.Build)
+// from the sets and their union, and the compressed sketch set, prefix
+// set and maxima block are computed in memory and written once each.
+// Pivot j of Σ_i is the element of local rank ⌊(3/2)·base^(j−1)⌋
+// (clamped to |G_i|), the same canonical rank repair re-targets an
+// invalidated pivot to; it lies inside its window [base^(j−1), base^j),
+// so the sketches are valid and Lemma 7's bound holds. Like Insert, it
+// panics on a value shared by two sets.
+func Build(d *em.Disk, f, l int, sets [][]float64) *Group {
+	return build(d, f, l, sketch.DefaultBase, sets)
+}
+
+func build(d *em.Disk, f, l, base int, sets [][]float64) *Group {
 	if f < 1 || l < 1 {
 		panic("flgroup: f and l must be positive")
+	}
+	if len(sets) != f {
+		panic("flgroup: Build needs exactly f sets")
 	}
 	logB := math.Log(float64(f)*float64(l)) / math.Log(float64(d.B()))
 	if logB < 1 {
@@ -103,25 +129,69 @@ func NewBase(d *em.Disk, f, l, base int) *Group {
 	g := &Group{
 		d: d, f: f, l: l, base: base,
 		prefLen: prefLen,
-		g:       btree.New(d, "flg.G"),
 		blocks:  em.NewStore(d, "flg.blk", func(w []uint64) int { return max(1, len(w)) }),
 		wG:      bitpack.Width(uint64(f*l + 1)),
 		wL:      bitpack.Width(uint64(l + 1)),
 	}
-	for i := 0; i < f; i++ {
-		g.gis = append(g.gis, btree.New(d, fmt.Sprintf("flg.G%d", i)))
+	union := Union(sets)
+	g.g = btree.Build(d, "flg.G", union)
+	// globalRank is the rank in G of the element of local rank r in set.
+	globalRank := func(set []float64, r int) int {
+		at, _ := slices.BinarySearch(union, set[len(set)-r])
+		return len(union) - at
 	}
-	g.skb = g.blocks.Alloc(g.encodeSketches(emptySketches(f)))
-	g.pfb = g.blocks.Alloc(g.encodePrefix(make([][]int, f)))
-	g.mxb = g.blocks.Alloc(make([]uint64, f))
+	s := emptySketches(f)
+	pref := make([][]int, f)
+	mx := make([]uint64, f)
+	for i, set := range sets {
+		if len(set) > l {
+			panic("flgroup: G_i full (caller must keep |G_i| ≤ l)")
+		}
+		g.gis = append(g.gis, btree.Build(d, fmt.Sprintf("flg.G%d", i), set))
+		n := len(set)
+		s.sizes[i] = n
+		for j := 1; j <= sketch.NumPivots(n, base); j++ {
+			L := min(max(1, 3*sketch.WindowLo(j, base)/2), n)
+			s.piv[i] = append(s.piv[i], pivotR{G: globalRank(set, L), L: L})
+		}
+		for r := 1; r <= min(prefLen, n); r++ {
+			pref[i] = append(pref[i], globalRank(set, r))
+		}
+		if n > 0 {
+			mx[i] = math.Float64bits(set[n-1])
+		}
+	}
+	g.skb = g.blocks.Alloc(g.encodeSketches(s))
+	g.pfb = g.blocks.Alloc(g.encodePrefix(pref))
+	g.mxb = g.blocks.Alloc(mx)
 	return g
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
+// Union returns G = G_1 ∪ … ∪ G_f, ascending, by merging the sets,
+// which must each be sorted ascending. It panics on a value shared by
+// two sets.
+func Union(sets [][]float64) []float64 {
+	total := 0
+	for _, set := range sets {
+		total += len(set)
 	}
-	return b
+	union := make([]float64, 0, total)
+	next := make([]int, len(sets)) // each set's next unmerged index
+	for len(union) < total {
+		at := -1
+		for i, x := range next {
+			if x < len(sets[i]) && (at < 0 || sets[i][x] < sets[at][next[at]]) {
+				at = i
+			}
+		}
+		v := sets[at][next[at]]
+		if n := len(union); n > 0 && union[n-1] == v {
+			panic("flgroup: duplicate value across the group")
+		}
+		union = append(union, v)
+		next[at]++
+	}
+	return union
 }
 
 // F and L return the structure's parameters.

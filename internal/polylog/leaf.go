@@ -172,30 +172,6 @@ func (t *Tree) leafLen(h em.Handle) int {
 	return n
 }
 
-// setLeafPoints bulk-loads pts (sorted by x) into half-full chunks of a
-// fresh leaf.
-func (t *Tree) setLeafPoints(h em.Handle, pts []point.P) {
-	nd := t.store.Read(h)
-	per := t.chunkCap() / 2
-	if per < 1 {
-		per = 1
-	}
-	for i := 0; i < len(pts); i += per {
-		end := i + per
-		if end > len(pts) {
-			end = len(pts)
-		}
-		ch := t.chunks.Alloc(append([]point.P(nil), pts[i:end]...))
-		lo := nd.lo
-		if i > 0 {
-			lo = pts[i].X
-		}
-		nd.kids = append(nd.kids, ch)
-		nd.kidLo = append(nd.kidLo, lo)
-	}
-	t.store.Write(h, nd)
-}
-
 // freeLeafChunks releases the leaf's chunk records.
 func (t *Tree) freeLeafChunks(h em.Handle) {
 	nd := t.store.Read(h)

@@ -19,6 +19,14 @@
 //     this meets the role the paper assigns to the [14] leaf
 //     structures at lower update cost).
 //
+// Construction is bottom-up (Bulk): sort by x, cut the leaves, then
+// build each level from the one below, every node's secondary
+// structures bulk-loaded from its children's G lists in memory
+// (btree.Build, flgroup.Build) — a sort plus linear work, which is what
+// the global rebuilding behind Theorem 1's update bound, and every
+// shard split and merge above it, pay. Node splits at runtime use the
+// same constructors.
+//
 // A query decomposes q into O(log_f n) canonical multi-slabs plus at
 // most two boundary leaves, runs AURS (package aurs, Lemma 5) over the
 // multi-slabs — Rank and Max implemented by the (f,c2l)-structures in
@@ -36,7 +44,6 @@
 package polylog
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -131,8 +138,20 @@ type Tree struct {
 	scratch []float64
 }
 
-// New returns an empty structure.
-func New(d *em.Disk, opt Options) *Tree {
+// New returns an empty structure: a single leaf with no points.
+func New(d *em.Disk, opt Options) *Tree { return Bulk(d, opt, nil) }
+
+// Bulk builds the structure over pts (in any order) bottom-up, in a
+// sort plus linear work. The x-sorted points are cut into leaves of
+// ⌊(LeafCap+1)/2⌋, the last leaf taking the remainder (at most
+// LeafCap), and each level above groups F nodes per parent the same way
+// (the last parent takes at most 2F). That is exactly the tree that
+// inserting the points in x order grows, so the base tree, its weights
+// and every G_u are the same; only the internal layout of the score
+// B-trees and flgroups differs, as each is bulk-loaded (btree.Build,
+// flgroup.Build) from the children's G lists, which the build holds in
+// memory on the way up: G_u is the top c2·l of their union.
+func Bulk(d *em.Disk, opt Options, pts []point.P) *Tree {
 	opt = opt.withDefaults(d)
 	t := &Tree{
 		d: d, opt: opt,
@@ -141,17 +160,67 @@ func New(d *em.Disk, opt Options) *Tree {
 		fl:    map[em.Handle]*flgroup.Group{},
 	}
 	t.chunks = em.NewStore(d, "pl.chunk", func(ps []point.P) int { return 1 + point.WordSize*len(ps) })
-	t.root = t.newLeaf(math.Inf(-1), math.Inf(1))
+	sorted := append([]point.P(nil), pts...)
+	point.SortByX(sorted)
+	for i := 1; i < len(sorted); i++ {
+		if sorted[i-1].X == sorted[i].X {
+			panic(fmt.Sprintf("polylog: duplicate x %v", sorted[i].X))
+		}
+	}
+	t.n = len(sorted)
+
+	// One level of the tree under construction, left to right.
+	type built struct {
+		h      em.Handle
+		lo, hi float64
+		g      []float64 // G_u, ascending
+	}
+	var level []built
+	runs := splitRuns(len(sorted), t.opt.LeafCap)
+	for i, r := range runs {
+		lo, hi := math.Inf(-1), math.Inf(1)
+		if i > 0 {
+			lo = sorted[r[0]].X
+		}
+		if i+1 < len(runs) {
+			hi = sorted[r[1]].X
+		}
+		h, g := t.newLeaf(lo, hi, sorted[r[0]:r[1]])
+		level = append(level, built{h, lo, hi, g})
+	}
+	for len(level) > 1 {
+		var up []built
+		for _, r := range splitRuns(len(level), 2*t.opt.F) {
+			grp := level[r[0]:r[1]]
+			kids := make([]em.Handle, len(grp))
+			kidLo := make([]float64, len(grp))
+			sets := make([][]float64, len(grp))
+			for j, b := range grp {
+				kids[j], kidLo[j], sets[j] = b.h, b.lo, b.g
+			}
+			lo, hi := grp[0].lo, grp[len(grp)-1].hi
+			h, g := t.newInternal(lo, hi, kids, kidLo, sets)
+			up = append(up, built{h, lo, hi, g})
+		}
+		level = up
+	}
+	t.root = level[0].h
 	return t
 }
 
-// Bulk builds the structure over pts.
-func Bulk(d *em.Disk, opt Options, pts []point.P) *Tree {
-	t := New(d, opt)
-	for _, p := range pts {
-		t.Insert(p)
+// splitRuns cuts [0, n) the way a node of capacity c splits under
+// ascending inserts: runs of ⌊(c+1)/2⌋, the last taking the remainder
+// (more than c−⌊(c+1)/2⌋, at most c), or one run when n ≤ c. Runs are
+// returned as [start, end) pairs.
+func splitRuns(n, c int) [][2]int {
+	cut := (c + 1) / 2
+	var runs [][2]int
+	start := 0
+	for n-start > c {
+		runs = append(runs, [2]int{start, start + cut})
+		start += cut
 	}
-	return t
+	return append(runs, [2]int{start, n})
 }
 
 // Len returns the number of live points; L the query cap.
@@ -161,10 +230,65 @@ func (t *Tree) L() int   { return t.opt.L }
 // guCap is |G_u| at capacity.
 func (t *Tree) guCap() int { return c2 * t.opt.L }
 
-func (t *Tree) newLeaf(lo, hi float64) em.Handle {
-	h := t.store.Alloc(&node{leaf: true, lo: lo, hi: hi})
-	t.gu[h] = btree.New(t.d, fmt.Sprintf("pl.gu%d", h))
-	return h
+// newLeaf allocates a leaf over the slab [lo, hi) holding pts (sorted
+// by x) in ⅞-full chunks, the fill btree.Build packs to, and builds its
+// G set: the top c2·l of the points' scores, which it returns
+// ascending. The leaf takes ownership of pts' backing array: each chunk
+// is a segment of it, capped so a later insert reallocates the chunk
+// instead of running into the next.
+func (t *Tree) newLeaf(lo, hi float64, pts []point.P) (em.Handle, []float64) {
+	nd := &node{leaf: true, lo: lo, hi: hi, weight: len(pts)}
+	per := max(1, t.chunkCap()*7/8)
+	for i := 0; i < len(pts); i += per {
+		end := min(i+per, len(pts))
+		nd.kids = append(nd.kids, t.chunks.Alloc(pts[i:end:end]))
+		if i == 0 {
+			nd.kidLo = append(nd.kidLo, lo)
+		} else {
+			nd.kidLo = append(nd.kidLo, pts[i].X)
+		}
+	}
+	h := t.store.Alloc(nd)
+	g := make([]float64, len(pts))
+	for i, p := range pts {
+		g[i] = p.Score
+	}
+	slices.Sort(g)
+	g = g[max(0, len(g)-t.guCap()):]
+	t.gu[h] = btree.Build(t.d, fmt.Sprintf("pl.gu%d", h), g)
+	return h, g
+}
+
+// newInternal allocates an internal node over the slab [lo, hi) with
+// the given children (child j covering [kidLo[j], kidLo[j+1])), links
+// them to it, and bulk-builds its secondary structures from sets, the
+// children's G sets in ascending order: the flgroup over them, and G_u
+// as the top c2·l of their merge, which it returns ascending.
+func (t *Tree) newInternal(lo, hi float64, kids []em.Handle, kidLo []float64, sets [][]float64) (em.Handle, []float64) {
+	nd := &node{lo: lo, hi: hi, kids: kids, kidLo: kidLo}
+	nd.kidLo[0] = lo
+	h := t.store.Alloc(nd)
+	for j, kid := range kids {
+		t.store.Update(kid, func(c **node) {
+			(*c).parent, (*c).childIdx = h, j
+			nd.weight += (*c).weight
+		})
+	}
+	t.store.Write(h, nd)
+	t.fl[h] = flgroup.Build(t.d, len(kids), t.guCap(), sets)
+	g := flgroup.Union(sets)
+	g = g[max(0, len(g)-t.guCap()):]
+	t.gu[h] = btree.Build(t.d, fmt.Sprintf("pl.gu%d", h), g)
+	return h, g
+}
+
+// kidSets reads the G sets of the given children, ascending.
+func (t *Tree) kidSets(kids []em.Handle) [][]float64 {
+	sets := make([][]float64, len(kids))
+	for j, kid := range kids {
+		sets[j] = t.gu[kid].Keys()
+	}
+	return sets
 }
 
 func routeKid(nd *node, x float64) int {
@@ -317,24 +441,14 @@ func (t *Tree) splitIfNeeded(h em.Handle) {
 
 		if nd.parent == em.NilHandle {
 			// New root above the two halves.
-			ln, rn := t.store.Read(left), t.store.Read(right)
-			root := &node{
-				lo: math.Inf(-1), hi: math.Inf(1),
-				weight: ln.weight + rn.weight,
-				kids:   []em.Handle{left, right},
-				kidLo:  []float64{math.Inf(-1), rn.lo},
-			}
-			rh := t.store.Alloc(root)
-			t.store.Update(left, func(c **node) { (*c).parent, (*c).childIdx = rh, 0 })
-			t.store.Update(right, func(c **node) { (*c).parent, (*c).childIdx = rh, 1 })
-			t.gu[rh] = btree.New(t.d, fmt.Sprintf("pl.gu%d", rh))
-			t.rebuildSecondary(rh)
-			t.root = rh
+			kids := []em.Handle{left, right}
+			kidLo := []float64{math.Inf(-1), t.store.Read(right).lo}
+			t.root, _ = t.newInternal(math.Inf(-1), math.Inf(1), kids, kidLo, t.kidSets(kids))
 			return
 		}
 
 		// Splice the two halves into the parent and rebuild its
-		// secondary structures (fanout changed).
+		// flgroup (fanout changed).
 		par := t.store.Read(nd.parent)
 		j := nd.childIdx
 		rlo := t.store.Read(right).lo
@@ -356,20 +470,14 @@ func (t *Tree) splitIfNeeded(h em.Handle) {
 	}
 }
 
-// splitLeaf splits leaf h in half by x, rebuilding both halves' chunk
-// stores and G sets. The handle h is retired.
+// splitLeaf splits leaf h in half by x into two fresh leaves (chunks
+// and G sets built by newLeaf). The handle h is retired.
 func (t *Tree) splitLeaf(h em.Handle, nd *node) (em.Handle, em.Handle) {
 	all := t.leafAll(h)
 	point.SortByX(all)
 	mid := len(all) / 2
-	lh := t.newLeaf(nd.lo, all[mid].X)
-	rh := t.newLeaf(all[mid].X, nd.hi)
-	t.setLeafPoints(lh, all[:mid])
-	t.setLeafPoints(rh, all[mid:])
-	t.rebuildLeafG(lh)
-	t.rebuildLeafG(rh)
-	t.store.Update(lh, func(c **node) { (*c).weight = mid })
-	t.store.Update(rh, func(c **node) { (*c).weight = len(all) - mid })
+	lh, _ := t.newLeaf(nd.lo, all[mid].X, all[:mid])
+	rh, _ := t.newLeaf(all[mid].X, nd.hi, all[mid:])
 	t.retire(h)
 	return lh, rh
 }
@@ -378,86 +486,26 @@ func (t *Tree) splitLeaf(h em.Handle, nd *node) (em.Handle, em.Handle) {
 // handle h is retired; both halves get fresh secondary structures.
 func (t *Tree) splitInternal(h em.Handle, nd *node) (em.Handle, em.Handle) {
 	mid := len(nd.kids) / 2
-	mk := func(kids []em.Handle, kidLo []float64, lo, hi float64) em.Handle {
-		n := &node{lo: lo, hi: hi,
-			kids:  append([]em.Handle(nil), kids...),
-			kidLo: append([]float64(nil), kidLo...),
-		}
-		n.kidLo[0] = lo
-		nh := t.store.Alloc(n)
-		w := 0
-		for j, kid := range n.kids {
-			t.store.Update(kid, func(c **node) { (*c).parent, (*c).childIdx = nh, j })
-			w += t.store.Read(kid).weight
-		}
-		t.store.Update(nh, func(c **node) { (*c).weight = w })
-		t.gu[nh] = btree.New(t.d, fmt.Sprintf("pl.gu%d", nh))
-		t.rebuildSecondary(nh)
+	half := func(a, b int, lo, hi float64) em.Handle {
+		kids := append([]em.Handle(nil), nd.kids[a:b]...)
+		kidLo := append([]float64(nil), nd.kidLo[a:b]...)
+		nh, _ := t.newInternal(lo, hi, kids, kidLo, t.kidSets(kids))
 		return nh
 	}
-	lh := mk(nd.kids[:mid], nd.kidLo[:mid], nd.lo, nd.kidLo[mid])
-	rh := mk(nd.kids[mid:], nd.kidLo[mid:], nd.kidLo[mid], nd.hi)
+	lh := half(0, mid, nd.lo, nd.kidLo[mid])
+	rh := half(mid, len(nd.kids), nd.kidLo[mid], nd.hi)
 	t.retire(h)
 	return lh, rh
 }
 
-// rebuildSecondary reconstructs node u's flgroup over its children's G
-// sets and recomputes G_u (top c2·l of ∪G_ui) in its score B-tree.
+// rebuildSecondary bulk-rebuilds internal node u's flgroup over its
+// children's G sets after a split changed its fanout. G_u itself, and
+// so the parent's flgroup, stay as they are: a split moves points
+// between u's children but none into or out of u's subtree.
 func (t *Tree) rebuildSecondary(u em.Handle) {
 	nd := t.store.Read(u)
-	if old, ok := t.fl[u]; ok {
-		old.Free()
-	}
-	g := flgroup.New(t.d, len(nd.kids), t.guCap())
-	var all []float64
-	for j, kid := range nd.kids {
-		scores := t.gu[kid].Keys()
-		for _, s := range scores {
-			g.Insert(j+1, s)
-			all = append(all, s)
-		}
-	}
-	t.fl[u] = g
-	// G_u = top c2·l of the union.
-	slices.SortFunc(all, func(a, b float64) int { return cmp.Compare(b, a) })
-	if len(all) > t.guCap() {
-		all = all[:t.guCap()]
-	}
-	gu := t.gu[u]
-	for _, s := range gu.Keys() {
-		gu.Delete(s)
-	}
-	for _, s := range all {
-		gu.Insert(s)
-	}
-	// Propagate the recomputed G_u into the parent's flgroup.
-	if nd.parent != em.NilHandle {
-		pg := t.fl[nd.parent]
-		i := nd.childIdx + 1
-		for pg.SizeOf(i) > 0 {
-			v, _ := pg.MaxOf(i)
-			pg.Delete(i, v)
-		}
-		for _, s := range all {
-			pg.Insert(i, s)
-		}
-	}
-}
-
-// rebuildLeafG recomputes a leaf's G set from its [14] structure.
-func (t *Tree) rebuildLeafG(h em.Handle) {
-	gu := t.gu[h]
-	for _, s := range gu.Keys() {
-		gu.Delete(s)
-	}
-	all := t.leafAll(h)
-	point.SortByScoreDesc(all)
-	if len(all) > t.guCap() {
-		all = all[:t.guCap()]
-	}
-	for _, p := range all {
-		gu.Insert(p.Score)
-	}
+	t.fl[u].Free()
+	t.fl[u] = flgroup.Build(t.d, len(nd.kids), t.guCap(), t.kidSets(nd.kids))
 }
 
 // FreeAll releases every node and secondary structure.
