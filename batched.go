@@ -102,9 +102,9 @@ type Batched struct {
 	buf   []BatchOp // flush conversion buffer; flushes are serialized by the commit slot
 }
 
-// Batched is a Store; compile-time assertion (works over any Store:
-// Index must be wrapped in a concurrency-safe guard first — e.g.
-// serve.LockedIndex — since the batcher is called concurrently).
+// Batched is a Store; compile-time assertion (works over any
+// concurrency-safe Store, since the batcher is called concurrently: for
+// one EM machine, a one-shard Sharded rather than a bare Index).
 var _ Store = (*Batched)(nil)
 
 // NewBatched wraps st with the group-commit write path.

@@ -880,10 +880,11 @@ func e17(quick bool) {
 				}
 				st.TopK(q.X1, q.X2, q.K)
 			}
-			// The rlock emulation under writer churn runs at ~60 qps by
-			// design — it exists to show the contrast, not to be measured
-			// precisely. Full readOps there would take minutes per config;
-			// a tenth still saturates the lock and stabilizes the rate.
+			// The rlock emulation under writer churn runs at tens of qps
+			// by design (the committed rows: 71 at w=2, 19 at w=8) — it
+			// exists to show the contrast, not to be measured precisely.
+			// Full readOps there would take minutes per config; a tenth
+			// still saturates the lock and stabilizes the rate.
 			ops := readOps
 			if mode == "rlock" && writers > 0 {
 				ops = readOps / 10

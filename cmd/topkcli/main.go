@@ -10,13 +10,7 @@
 //	> stats
 //	> help
 //
-// With -bulk W the preload drives the group-commit write path instead
-// of direct sequential inserts: W concurrent workers push single-op
-// writes through a topk.Batched wrapper (the same layer topkd mounts
-// behind -batch-window), and the shell prints the achieved write qps
-// plus the batcher's group statistics. Shell insert/delete then keep
-// flowing through the batched store, so the feature is live-drivable
-// without writing a load generator.
+// The preload is one linear bulk build (topk.Load).
 package main
 
 import (
@@ -30,12 +24,9 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
-	"time"
 
 	topk "repro"
 	"repro/internal/obs"
-	"repro/internal/serve"
 	"repro/internal/workload"
 )
 
@@ -43,65 +34,20 @@ func main() {
 	n := flag.Int("n", 10000, "synthetic points to preload")
 	b := flag.Int("B", 64, "block size in words")
 	seed := flag.Int64("seed", 1, "workload seed")
-	bulk := flag.Int("bulk", 0, "preload through the group-commit write path with this many concurrent workers (0 = sequential direct inserts)")
 	addr := flag.String("addr", "", "topkd base URL for the remote commands (trace <id>); e.g. localhost:8080")
 	flag.Parse()
 
-	idx, err := topk.New(topk.Config{BlockWords: *b, ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 2048})
+	var pts []topk.Result
+	for _, p := range workload.NewGen(*seed).Uniform(*n, 1e6) {
+		pts = append(pts, topk.Result{X: p.X, Score: p.Score})
+	}
+	st, err := topk.Load(topk.Config{BlockWords: *b, ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 2048}, pts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
+		fmt.Fprintf(os.Stderr, "preload: %v\n", err)
 		os.Exit(1)
 	}
-	gen := workload.NewGen(*seed)
-	pts := gen.Uniform(*n, 1e6)
-
-	// st is what the shell talks to: the bare Index, or — with -bulk —
-	// the batched store over it (an Index is sequential, so the batcher
-	// flushes through a one-mutex guard; the win here is the grouped
-	// flush amortizing the per-op overhead, and having the path live).
-	var st topk.Store = idx
-	if *bulk > 0 {
-		bt, err := topk.NewBatched(serve.LockedIndex(idx), topk.BatchedConfig{})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer bt.Close()
-		st = bt
-		start := time.Now()
-		var wg sync.WaitGroup
-		var rejected sync.Map
-		for w := 0; w < *bulk; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := w; i < len(pts); i += *bulk {
-					if err := bt.Insert(pts[i].X, pts[i].Score); err != nil {
-						rejected.Store(i, err)
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		var nrej int
-		rejected.Range(func(k, v any) bool { nrej++; return true })
-		if nrej > 0 {
-			fmt.Fprintf(os.Stderr, "bulk preload: %d rejected\n", nrej)
-		}
-		el := time.Since(start)
-		s := bt.BatcherStats()
-		fmt.Printf("bulk preload: %d points, %d workers, %.0f writes/s (%d groups, max group %d)\n",
-			len(pts)-nrej, *bulk, float64(len(pts))/el.Seconds(), s.Flushes, s.MaxGroup)
-	} else {
-		for _, p := range pts {
-			if err := idx.Insert(p.X, p.Score); err != nil {
-				fmt.Fprintf(os.Stderr, "preload: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
 	fmt.Printf("loaded %d points (B=%d, k-threshold %d, %s)\n",
-		st.Len(), idx.BlockSize(), idx.KThreshold(), idx.Regime())
+		st.Len(), st.BlockSize(), st.KThreshold(), st.Regime())
 	fmt.Println(`commands: top x1 x2 k | count x1 x2 | insert x score | delete x score | stats | reset | trace <id> | quit`)
 
 	sc := bufio.NewScanner(os.Stdin)
@@ -123,11 +69,6 @@ func main() {
 			s := st.Stats()
 			fmt.Printf("reads=%d writes=%d live=%d peak=%d n=%d\n",
 				s.Reads, s.Writes, s.BlocksLive, s.BlocksPeak, st.Len())
-			if bs, ok := st.(interface{ BatcherStats() topk.BatcherStats }); ok {
-				b := bs.BatcherStats()
-				fmt.Printf("batcher: ops=%d groups=%d max_group=%d pending=%d\n",
-					b.Ops, b.Flushes, b.MaxGroup, b.Pending)
-			}
 		case "reset":
 			st.ResetStats()
 			st.DropCache()

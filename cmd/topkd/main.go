@@ -4,16 +4,13 @@
 //
 //   - the default concurrent Sharded router (net/http's per-connection
 //     goroutines become router concurrency, no extra locking),
-//   - a single sequential Index guarded by one mutex for comparison
-//     runs (-backend single),
 //   - or a CLUSTER GATEWAY (-gateway nodeA,nodeB,...): the same /v1
 //     surface backed by a topk.Cluster that score-routes writes to
 //     remote member topkd processes and scatter-gathers reads across
 //     them. Members declare their score band with -range lo:hi and the
 //     gateway discovers the fleet layout from each member's /v1/range.
 //
-// The API is versioned under /v1; the unversioned paths from the
-// first release are kept as thin aliases of the same handlers.
+// Every route is versioned under /v1.
 //
 //	$ topkd -addr :8080 -shards 8 -n 100000 -maintenance 30s
 //	$ curl -s 'localhost:8080/v1/topk?x1=100&x2=200&k=3'
@@ -61,14 +58,13 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	backend := flag.String("backend", "sharded", "index backend: sharded | single")
 	gateway := flag.String("gateway", "", "comma-separated member addresses; serve as a cluster gateway instead of a local store")
 	rangeFlag := flag.String("range", "", "score band this member owns, as lo:hi with open ends empty (e.g. :5, 5:10, 10:)")
-	shards := flag.Int("shards", 8, "maximum shard count (sharded backend)")
+	shards := flag.Int("shards", 8, "maximum shard count")
 	b := flag.Int("B", 64, "block size in words per shard disk")
 	m := flag.Int("M", 0, "buffer-pool words (fleet total when sharded; 0 = default)")
 	minMerge := flag.Int("min-merge", 0, "shard size floor of the delete-triggered merge policy (0 = adaptive, starting at min-split/2; negative disables merging)")
-	maintenance := flag.Duration("maintenance", 0, "background maintenance interval for the sharded backend (merge/split sweeps while idle; 0 disables)")
+	maintenance := flag.Duration("maintenance", 0, "background maintenance interval (merge/split sweeps while idle; 0 disables)")
 	n := flag.Int("n", 0, "synthetic points to preload")
 	seed := flag.Int64("seed", 1, "preload workload seed")
 	forcePolylog := flag.Bool("force-polylog", true, "pin the §3.3 small-k component instead of the automatic regime test")
@@ -137,7 +133,7 @@ func main() {
 				pts = append(pts, topk.Result{X: p.X, Score: p.Score})
 			}
 		}
-		st, err = newStore(*backend, cfg, pts)
+		st, err = newStore(cfg, pts)
 	}
 	if err != nil {
 		log.Fatalf("topkd: %v", err)
@@ -162,7 +158,7 @@ func main() {
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	mode := *backend
+	mode := "sharded"
 	if *gateway != "" {
 		mode = fmt.Sprintf("gateway(%s)", *gateway)
 	}
@@ -298,31 +294,12 @@ func serveLoop(ctx context.Context, srv *http.Server, ln net.Listener, drain tim
 	}
 }
 
-// newStore builds the chosen local backend behind the Store interface.
-func newStore(backend string, cfg topk.ShardedConfig, pts []topk.Result) (topk.Store, error) {
-	switch backend {
-	case "sharded":
-		if len(pts) > 0 {
-			return topk.LoadSharded(cfg, pts)
-		}
-		return topk.NewSharded(cfg)
-	case "single":
-		var idx *topk.Index
-		var err error
-		if len(pts) > 0 {
-			idx, err = topk.Load(cfg.Config, pts)
-		} else {
-			idx, err = topk.New(cfg.Config)
-		}
-		if err != nil {
-			return nil, err
-		}
-		// An Index is one sequential EM machine; one mutex turns it
-		// into a (serialized) Store for comparison runs.
-		return serve.LockedIndex(idx), nil
-	default:
-		return nil, fmt.Errorf("unknown backend %q (want sharded or single)", backend)
+// newStore builds the local Sharded backend, preloaded with pts.
+func newStore(cfg topk.ShardedConfig, pts []topk.Result) (topk.Store, error) {
+	if len(pts) > 0 {
+		return topk.LoadSharded(cfg, pts)
 	}
+	return topk.NewSharded(cfg)
 }
 
 // newServer returns the topkd handler tree over st with no member

@@ -26,9 +26,9 @@ type errBody struct {
 	} `json:"error"`
 }
 
-func newTestStore(t *testing.T, backend string) topk.Store {
+func newTestStore(t *testing.T) topk.Store {
 	t.Helper()
-	st, err := newStore(backend, topk.ShardedConfig{
+	st, err := newStore(topk.ShardedConfig{
 		Config: topk.Config{ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 2048},
 		Shards: 4,
 	}, nil)
@@ -40,7 +40,24 @@ func newTestStore(t *testing.T, backend string) topk.Store {
 
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(newServer(newTestStore(t, "sharded")))
+	srv := httptest.NewServer(newServer(newTestStore(t)))
+	t.Cleanup(srv.Close)
+	return srv
+}
+
+// bareStore exposes only the ten topk.Store methods of the store it
+// embeds — no optional introspection surface, no Unwrap, no Close — so
+// a one-shard Sharded inside it stands for any backend that lacks them.
+type bareStore struct{ topk.Store }
+
+// bareServer serves an empty one-shard Sharded behind bareStore.
+func bareServer(t *testing.T) *httptest.Server {
+	t.Helper()
+	sh, err := topk.NewSharded(topk.ShardedConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(newServer(bareStore{sh}))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -72,12 +89,33 @@ func decodeErr(t *testing.T, resp *http.Response, wantStatus int) errBody {
 	return eb
 }
 
-// TestEndpoints drives the /v1 surface end to end, on both route
-// prefixes — the unversioned paths must behave as thin aliases.
+// TestEndpoints drives the /v1 surface end to end. The unversioned
+// paths of the first release are not routes: each answers 404.
 func TestEndpoints(t *testing.T) {
 	for _, prefix := range []string{"/v1", ""} {
 		t.Run("prefix="+prefix, func(t *testing.T) {
 			srv := testServer(t)
+			if prefix == "" {
+				for _, route := range []struct{ method, path string }{
+					{"POST", "/insert"}, {"POST", "/delete"}, {"POST", "/batch"},
+					{"GET", "/topk?x1=0&x2=95&k=3"}, {"GET", "/count?x1=0&x2=95"},
+					{"GET", "/stats"}, {"GET", "/metrics"},
+				} {
+					req, err := http.NewRequest(route.method, srv.URL+route.path, strings.NewReader(`{"x":1,"score":1.5}`))
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusNotFound {
+						t.Errorf("%s %s: status %d, want 404", route.method, route.path, resp.StatusCode)
+					}
+				}
+				return
+			}
 
 			for i := 0; i < 20; i++ {
 				body := fmt.Sprintf(`{"x":%d,"score":%d.5}`, i*10, i)
@@ -362,11 +400,10 @@ func TestDuplicateInsert(t *testing.T) {
 }
 
 // TestSingleBackend: the handlers are written against topk.Store, so
-// the sequential backend behind a mutex serves the same API (minus
-// the shards gauge in /v1/stats).
+// a store with no optional surface serves the same API (minus the
+// shards gauge in /v1/stats).
 func TestSingleBackend(t *testing.T) {
-	srv := httptest.NewServer(newServer(newTestStore(t, "single")))
-	defer srv.Close()
+	srv := bareServer(t)
 	resp, err := http.Post(srv.URL+"/v1/insert", "application/json", strings.NewReader(`{"x":1,"score":2}`))
 	if err != nil {
 		t.Fatal(err)
@@ -383,7 +420,7 @@ func TestSingleBackend(t *testing.T) {
 	}
 	decode(t, resp, &tk)
 	if len(tk.Results) != 1 || tk.Results[0].X != 1 {
-		t.Fatalf("topk on single backend: %+v", tk)
+		t.Fatalf("topk on bare store: %+v", tk)
 	}
 	resp, err = http.Get(srv.URL + "/v1/stats")
 	if err != nil {
@@ -392,10 +429,7 @@ func TestSingleBackend(t *testing.T) {
 	var st map[string]any
 	decode(t, resp, &st)
 	if _, ok := st["shards"]; ok {
-		t.Fatalf("single backend reported shards: %v", st)
-	}
-	if _, err := newStore("bogus", topk.ShardedConfig{}, nil); err == nil {
-		t.Fatal("unknown backend accepted")
+		t.Fatalf("bare store reported shards: %v", st)
 	}
 }
 
@@ -587,7 +621,7 @@ func TestTopKPagination(t *testing.T) {
 	if z := get("x1=0&x2=200&k=0&offset=1000000"); len(z.Results) != 0 {
 		t.Fatalf("k=0 page: %+v", z)
 	}
-	if st := newTestStore(t, "sharded"); serve.ClampPage(st, 5, 0) != 0 || serve.ClampPage(st, 0, -3) != 0 || serve.ClampPage(st, 0, 5) != 0 {
+	if st := newTestStore(t); serve.ClampPage(st, 5, 0) != 0 || serve.ClampPage(st, 0, -3) != 0 || serve.ClampPage(st, 0, 5) != 0 {
 		t.Fatal("ClampPage must be 0 for empty-by-construction pages")
 	}
 	for _, q := range []string{"x1=0&x2=200&k=5&offset=-1", "x1=0&x2=200&k=5&offset=x"} {
@@ -602,7 +636,7 @@ func TestTopKPagination(t *testing.T) {
 }
 
 // TestMetricsEndpoint: /v1/metrics serves Prometheus text format —
-// fleet gauges and counters on both backends, shard lifecycle and
+// fleet gauges and counters on every backend, shard lifecycle and
 // topology epoch only where a router exists.
 func TestMetricsEndpoint(t *testing.T) {
 	srv := testServer(t)
@@ -649,21 +683,24 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, body)
 		}
 	}
-	// The unversioned alias serves the same handler.
-	if alias := fetch(srv.URL + "/metrics"); !strings.Contains(alias, "topkd_points_live") {
-		t.Fatalf("alias metrics: %s", alias)
+	// There is no unversioned route.
+	resp, err = http.Get(srv.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("/metrics status %d, want 404", resp.StatusCode)
 	}
 
-	// The single backend has no shard topology: fleet metrics only.
-	single := httptest.NewServer(newServer(newTestStore(t, "single")))
-	defer single.Close()
-	sbody := fetch(single.URL + "/v1/metrics")
+	// A store without shard topology: fleet metrics only.
+	sbody := fetch(bareServer(t).URL + "/v1/metrics")
 	if !strings.Contains(sbody, "topkd_points_live") {
-		t.Fatalf("single-backend metrics: %s", sbody)
+		t.Fatalf("bare-store metrics: %s", sbody)
 	}
 	for _, absent := range []string{"topkd_shards", "topkd_shard_splits_total", "topkd_topology_epoch"} {
 		if strings.Contains(sbody, absent) {
-			t.Fatalf("single backend reported %q:\n%s", absent, sbody)
+			t.Fatalf("bare store reported %q:\n%s", absent, sbody)
 		}
 	}
 }
@@ -673,7 +710,7 @@ func TestMetricsEndpoint(t *testing.T) {
 // optional Close interface), and Close is what the shutdown path
 // calls after draining.
 func TestMaintenanceFlagWiring(t *testing.T) {
-	st, err := newStore("sharded", topk.ShardedConfig{
+	st, err := newStore(topk.ShardedConfig{
 		Config:              topk.Config{ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 2048},
 		Shards:              4,
 		MaintenanceInterval: time.Millisecond,
@@ -688,15 +725,16 @@ func TestMaintenanceFlagWiring(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The single backend has no loop; the shutdown path must cope.
-	if _, ok := newTestStore(t, "single").(interface{ Close() error }); ok {
-		t.Fatal("single backend unexpectedly exposes Close")
+	// A store without a loop has no Close; the shutdown path must cope.
+	var bare topk.Store = bareStore{st}
+	if _, ok := bare.(interface{ Close() error }); ok {
+		t.Fatal("bare store unexpectedly exposes Close")
 	}
 }
 
 // TestStatsLifecycleCounters: the sharded backend reports shard
-// split/merge counters under /v1/stats; the single backend, which has
-// no lifecycle, omits them.
+// split/merge counters under /v1/stats; a store without that surface
+// omits them.
 func TestStatsLifecycleCounters(t *testing.T) {
 	srv := testServer(t)
 	resp, err := http.Get(srv.URL + "/v1/stats")
@@ -711,9 +749,7 @@ func TestStatsLifecycleCounters(t *testing.T) {
 		}
 	}
 
-	single := httptest.NewServer(newServer(newTestStore(t, "single")))
-	defer single.Close()
-	resp, err = http.Get(single.URL + "/v1/stats")
+	resp, err = http.Get(bareServer(t).URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -721,7 +757,7 @@ func TestStatsLifecycleCounters(t *testing.T) {
 	decode(t, resp, &sst)
 	for _, key := range []string{"shards", "splits", "merges"} {
 		if _, ok := sst[key]; ok {
-			t.Fatalf("single backend reported %q: %v", key, sst)
+			t.Fatalf("bare store reported %q: %v", key, sst)
 		}
 	}
 }
@@ -847,7 +883,7 @@ func TestGatewayEndToEnd(t *testing.T) {
 // trigger are far too large to have fired on their own. No
 // accepted-then-dropped writes.
 func TestShutdownFlushesAcceptedWrites(t *testing.T) {
-	inner := newTestStore(t, "sharded")
+	inner := newTestStore(t)
 	bt, err := topk.NewBatched(inner, topk.BatchedConfig{
 		Window:   time.Hour, // only shutdown may flush
 		MaxBatch: 1 << 20,

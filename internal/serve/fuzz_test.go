@@ -16,16 +16,13 @@ import (
 // queries and pagination have something to chew on.
 func fuzzStore(t testing.TB) topk.Store {
 	t.Helper()
-	idx, err := topk.New(topk.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := newBareStore(t)
 	for i := 0; i < 64; i++ {
-		if err := idx.Insert(float64(i), float64((i*37)%64)+0.5); err != nil {
+		if err := st.Insert(float64(i), float64((i*37)%64)+0.5); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return LockedIndex(idx)
+	return st
 }
 
 // FuzzTopKQuery drives GET /v1/topk's query parsing (queryFloat,

@@ -4,7 +4,7 @@ package serve
 // pass over the whole page — every sample belongs to a family with
 // # HELP and # TYPE, histogram buckets are cumulative and end at
 // le="+Inf" with _count equal to the +Inf bucket — run against all
-// three backends (single, sharded, gateway), plus the optional-
+// three backends (bare, sharded, gateway), plus the optional-
 // interface probes that decide which families each backend exports.
 
 import (
@@ -258,8 +258,9 @@ func scrape(t *testing.T, base string) map[string]*promFamily {
 
 // bootTestGateway builds a two-member fleet over httptest plus a
 // gateway handler in front of a topk.Cluster, all wired with the given
-// telemetries (nil entries get defaults).
-func bootTestGateway(t *testing.T, gwObs *obs.Telemetry, memberObs []*obs.Telemetry) (*httptest.Server, func()) {
+// telemetries (nil entries get defaults). It returns the gateway
+// server, the Cluster it serves and the shutdown func.
+func bootTestGateway(t *testing.T, gwObs *obs.Telemetry, memberObs []*obs.Telemetry) (*httptest.Server, *topk.Cluster, func()) {
 	t.Helper()
 	n := 400
 	pts := make([]topk.Result, 0, n)
@@ -295,7 +296,7 @@ func bootTestGateway(t *testing.T, gwObs *obs.Telemetry, memberObs []*obs.Teleme
 		t.Fatal(err)
 	}
 	gw := httptest.NewServer(New(cl, Options{Obs: gwObs}))
-	return gw, func() {
+	return gw, cl, func() {
 		gw.Close()
 		_ = cl.Close()
 		for _, m := range members {
@@ -306,12 +307,9 @@ func bootTestGateway(t *testing.T, gwObs *obs.Telemetry, memberObs []*obs.Teleme
 
 // TestMetricsWellFormed runs the parser pass on all three backends.
 func TestMetricsWellFormed(t *testing.T) {
+	// "single": one EM machine behind a store with no optional surface.
 	t.Run("single", func(t *testing.T) {
-		idx, err := topk.New(topk.Config{BlockWords: 64, ForcePolylog: true, PolylogF: 8, PolylogLeafCap: 2048})
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := httptest.NewServer(New(LockedIndex(idx), Options{}))
+		srv := httptest.NewServer(New(newBareStore(t), Options{}))
 		defer srv.Close()
 		driveTraffic(t, srv.URL)
 		fams := scrape(t, srv.URL)
@@ -323,13 +321,13 @@ func TestMetricsWellFormed(t *testing.T) {
 			"topkd_go_goroutines",
 		} {
 			if fams[name] == nil {
-				t.Errorf("single backend missing family %s", name)
+				t.Errorf("bare backend missing family %s", name)
 			}
 		}
-		// A single Index has no shards, no topology, no cluster.
+		// A bare store has no shards, no topology, no cluster.
 		for _, name := range []string{"topkd_shards", "topkd_topology_epoch", "topkd_cluster_nodes", "topkd_cluster_read_failovers_total", "topkd_cluster_rpc_duration_seconds"} {
 			if fams[name] != nil {
-				t.Errorf("single backend unexpectedly exports %s", name)
+				t.Errorf("bare backend unexpectedly exports %s", name)
 			}
 		}
 		// The traffic above must actually have landed in the histograms.
@@ -354,7 +352,7 @@ func TestMetricsWellFormed(t *testing.T) {
 	})
 
 	t.Run("gateway", func(t *testing.T) {
-		gw, shutdown := bootTestGateway(t, nil, nil)
+		gw, _, shutdown := bootTestGateway(t, nil, nil)
 		defer shutdown()
 		driveTraffic(t, gw.URL)
 		fams := scrape(t, gw.URL)
@@ -409,7 +407,7 @@ func fetchPage(t *testing.T, url string) string {
 // page, the fleet gauges present, gauges node-labeled per member, and
 // counters/histograms equal to the per-member sums, exactly.
 func TestFleetMetrics(t *testing.T) {
-	gw, shutdown := bootTestGateway(t, nil, nil)
+	gw, _, shutdown := bootTestGateway(t, nil, nil)
 	defer shutdown()
 	driveTraffic(t, gw.URL)
 

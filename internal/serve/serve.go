@@ -7,10 +7,8 @@
 // Handlers are written purely against the topk.Store interface, so the
 // backend is the caller's choice; backend-specific introspection
 // (shard counts, lifecycle counters, topology epoch) is probed through
-// optional interfaces. The API is versioned under /v1 with the
-// unversioned paths of the first release kept as thin aliases; newer
-// endpoints (/v1/epoch, /v1/range, /v1/stats/reset, /v1/cache/drop)
-// exist under /v1 only.
+// optional interfaces, all in one place (collect) that both /v1/stats
+// and /v1/metrics render. Every route lives under /v1.
 //
 // Errors are structured: {"error":{"code":"duplicate_position",
 // "message":"..."}} with the code derived from the topk sentinel
@@ -65,12 +63,12 @@ type Options struct {
 	// so a misconfigured process degrades to correct sync serving
 	// rather than failing writes.
 	AsyncAck bool
-
-	// OutcomeCap bounds the async outcome ring: the newest OutcomeCap
-	// submissions stay queryable, older ones are evicted (a poll for an
-	// evicted ID is a 404, like an evicted trace). 0 means 4096.
-	OutcomeCap int
 }
+
+// outcomeCap bounds the async outcome ring: the newest outcomeCap
+// submissions stay queryable, older ones are evicted (a poll for an
+// evicted ID is a 404, like an evicted trace).
+const outcomeCap = 4096
 
 // banded reports whether a member band was configured.
 func (o Options) banded() bool { return o.Lo != 0 || o.Hi != 0 }
@@ -145,22 +143,18 @@ func New(st topk.Store, opt Options) http.Handler {
 	// itself, never an inner layer).
 	aw, _ := st.(asyncWriter)
 	asyncAck := opt.AsyncAck && aw != nil
-	outcomes := newOutcomeRing(opt.OutcomeCap)
+	var outcomes *outcomeRing // nil unless async-ack is on
+	if asyncAck {
+		outcomes = &outcomeRing{m: make(map[string]topk.Future, outcomeCap)}
+	}
 	mux := http.NewServeMux()
 
 	// writeJSON logs encode failures (a client gone mid-response,
 	// usually) through the structured logger instead of dropping them.
 	writeJSON := func(w http.ResponseWriter, v any) { writeJSONLog(w, v, t.Log) }
 
-	// handle registers h under /v1/pattern and, as a compatibility
-	// alias, under the unversioned path of the first release.
+	// handle registers h under /v1/pattern.
 	handle := func(method, pattern string, h http.HandlerFunc) {
-		mux.HandleFunc(method+" /v1"+pattern, h)
-		mux.HandleFunc(method+" "+pattern, h)
-	}
-	// handleV1 registers h under /v1 only — endpoints newer than the
-	// unversioned legacy surface get no alias.
-	handleV1 := func(method, pattern string, h http.HandlerFunc) {
 		mux.HandleFunc(method+" /v1"+pattern, h)
 	}
 
@@ -285,9 +279,9 @@ func New(st topk.Store, opt Options) http.Handler {
 	// poll it (or a Sharded owner watches WatchEpoch in-process) to
 	// detect member topology changes without paying for /v1/stats. The
 	// cluster health checker also uses it as its liveness probe.
-	// Backends without an epoch (a single Index) report 0 — the
+	// Backends without a topology epoch report 0 — the
 	// endpoint stays probeable on every backend.
-	handleV1("GET", "/epoch", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/epoch", func(w http.ResponseWriter, r *http.Request) {
 		var e int64
 		if ep, ok := probe[interface{ Epoch() int64 }](st); ok {
 			e = ep.Epoch()
@@ -298,7 +292,7 @@ func New(st topk.Store, opt Options) http.Handler {
 	// The member's score band, for gateway discovery. Open ends are
 	// null (JSON cannot carry ±Inf); an unbanded process reports both
 	// ends open.
-	handleV1("GET", "/range", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/range", func(w http.ResponseWriter, r *http.Request) {
 		var lo, hi *float64
 		if opt.banded() {
 			if !math.IsInf(opt.Lo, -1) {
@@ -324,7 +318,7 @@ func New(st topk.Store, opt Options) http.Handler {
 	// already evicted", not "never happened"; a member that has evicted
 	// (or never sampled) its half degrades that subtree gracefully —
 	// the RPC span stays, unspliced.
-	handleV1("GET", "/trace/{id}", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/trace/{id}", func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		tr := t.Tracer.Get(id)
 		if tr == nil {
@@ -344,7 +338,7 @@ func New(st topk.Store, opt Options) http.Handler {
 	// means "unknown or already evicted". A resolved outcome reports
 	// done plus either ok or the same structured error the synchronous
 	// endpoint would have returned — error fidelity survives the 202.
-	handleV1("GET", "/outcome/{id}", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/outcome/{id}", func(w http.ResponseWriter, r *http.Request) {
 		f, ok := outcomes.get(r.PathValue("id"))
 		if !ok {
 			httpError(w, http.StatusNotFound, "outcome_not_found",
@@ -365,103 +359,48 @@ func New(st topk.Store, opt Options) http.Handler {
 	// Administrative twins of Store.ResetStats/DropCache, so remote
 	// operators (and the Cluster client, which must implement the full
 	// Store contract over the wire) can reach them.
-	handleV1("POST", "/stats/reset", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST", "/stats/reset", func(w http.ResponseWriter, r *http.Request) {
 		st.ResetStats()
 		writeJSON(w, map[string]any{"ok": true})
 	})
-	handleV1("POST", "/cache/drop", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST", "/cache/drop", func(w http.ResponseWriter, r *http.Request) {
 		st.DropCache()
 		writeJSON(w, map[string]any{"ok": true})
 	})
 
 	// Prometheus text-format metrics, the machine-scrapable twin of the
-	// JSON /v1/stats. On the sharded backend everything here is served
-	// from the topology snapshot, atomic counters and brief per-shard
-	// meter reads — a scrape never takes the topology lock, so it
-	// cannot stall lifecycle or update writers (on -backend single the
-	// store mutex still serializes the scrape with traffic, like every
-	// other request there). On a gateway the same handler reports the
+	// JSON /v1/stats: both pages render one collect scrape. On the
+	// sharded backend everything here is served from the topology
+	// snapshot, atomic counters and brief per-shard meter reads — a
+	// scrape never takes the topology lock, so it cannot stall lifecycle
+	// or update writers. On a gateway the same handler reports the
 	// cluster-aggregated meters summed across members.
 	handle("GET", "/metrics", func(w http.ResponseWriter, r *http.Request) {
-		s := st.Stats()
+		f := collect(st, t, outcomes)
 		var b strings.Builder
-		metric := func(name, typ, help string, v int64) {
-			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, typ, name, v)
+		for _, x := range f.scalars {
+			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", x.name, x.help, x.name, x.typ, x.name, x.v)
 		}
-		metric("topkd_points_live", "gauge", "Number of live points.", int64(st.Len()))
-		metric("topkd_io_reads_total", "counter", "Block reads charged by the simulated EM disks (retired disks included).", s.Reads)
-		metric("topkd_io_writes_total", "counter", "Block writes charged by the simulated EM disks (retired disks included).", s.Writes)
-		metric("topkd_blocks_live", "gauge", "Disk blocks currently occupied fleet-wide.", s.BlocksLive)
-		metric("topkd_blocks_peak", "gauge", "High-water mark of the fleet-wide live-block total.", s.BlocksPeak)
-		if sh, ok := probe[interface{ NumShards() int }](st); ok {
-			metric("topkd_shards", "gauge", "Current shard count.", int64(sh.NumShards()))
-		}
-		if lc, ok := probe[interface {
-			Splits() int64
-			Merges() int64
-		}](st); ok {
-			metric("topkd_shard_splits_total", "counter", "Automatic shard splits since startup.", lc.Splits())
-			metric("topkd_shard_merges_total", "counter", "Automatic shard merges since startup.", lc.Merges())
-		}
-		if bs, ok := st.(interface{ BatcherStats() topk.BatcherStats }); ok {
-			s := bs.BatcherStats()
-			metric("topkd_ingest_flushes_total", "counter", "Write groups committed by the ingest batcher.", s.Flushes)
-			metric("topkd_ingest_ops_total", "counter", "Single-op writes committed through the ingest batcher.", s.Ops)
-			metric("topkd_ingest_group_max", "gauge", "Largest single group the ingest batcher has committed.", s.MaxGroup)
-			metric("topkd_ingest_pending", "gauge", "Writes enqueued in the ingest batcher and not yet committed.", s.Pending)
-		}
-		if it, ok := st.(interface{ IngestTelemetry() *ingest.Telemetry }); ok {
-			if tel := it.IngestTelemetry(); tel != nil {
-				obs.WriteCountHistogram(&b, "topkd_ingest_group_size",
-					"Ops per committed write group (value histogram, power-of-two buckets).", &tel.GroupSize)
-				obs.WriteHistogram(&b, "topkd_ingest_flush_duration_seconds",
-					"Backend flush latency per committed write group.", &tel.FlushLatency)
-				obs.WriteHistogram(&b, "topkd_ingest_backpressure_wait_seconds",
-					"Time producers spent driving commits because pending writes exceeded MaxPending.", &tel.BackpressureWait)
-				fmt.Fprintf(&b, "# HELP topkd_ingest_flushes_by_reason_total Write groups committed, by the trigger that drove the flush.\n"+
-					"# TYPE topkd_ingest_flushes_by_reason_total counter\n")
-				for _, rc := range tel.ReasonCounts() {
-					fmt.Fprintf(&b, "topkd_ingest_flushes_by_reason_total{reason=%q} %d\n", rc.Reason, rc.N)
-				}
+		if tel := f.ingest; tel != nil {
+			obs.WriteCountHistogram(&b, "topkd_ingest_group_size",
+				"Ops per committed write group (value histogram, power-of-two buckets).", &tel.GroupSize)
+			obs.WriteHistogram(&b, "topkd_ingest_flush_duration_seconds",
+				"Backend flush latency per committed write group.", &tel.FlushLatency)
+			obs.WriteHistogram(&b, "topkd_ingest_backpressure_wait_seconds",
+				"Time producers spent driving commits because pending writes exceeded MaxPending.", &tel.BackpressureWait)
+			fmt.Fprintf(&b, "# HELP topkd_ingest_flushes_by_reason_total Write groups committed, by the trigger that drove the flush.\n"+
+				"# TYPE topkd_ingest_flushes_by_reason_total counter\n")
+			for _, rc := range tel.ReasonCounts() {
+				fmt.Fprintf(&b, "topkd_ingest_flushes_by_reason_total{reason=%q} %d\n", rc.Reason, rc.N)
 			}
 		}
-		if asyncAck {
-			size, ev := outcomes.snapshot()
-			metric("topkd_outcome_ring_occupancy", "gauge", "Async-ack outcomes currently retained and queryable.", int64(size))
-			metric("topkd_outcome_ring_evictions_total", "counter", "Async-ack outcomes evicted from the bounded ring (the cause of outcome_not_found).", ev)
-		}
-		metric("topkd_trace_ring_evictions_total", "counter", "Finished traces evicted from the bounded ring (the cause of trace_not_found).", t.Tracer.RingEvictions())
-		if ep, ok := probe[interface{ Epoch() int64 }](st); ok {
-			// A gauge, not a counter: it tracks the snapshot version,
-			// which also advances on stats resets, not only on
-			// split/merge/rebalance lifecycle events.
-			metric("topkd_topology_epoch", "gauge", "Topology snapshot version; increments on every snapshot publish (splits, merges, rebalances, stats resets).", ep.Epoch())
-		}
-		if cl, ok := probe[interface {
-			Nodes() int
-			Ejected() int
-		}](st); ok {
-			metric("topkd_cluster_nodes", "gauge", "Member nodes configured in the cluster.", int64(cl.Nodes()))
-			metric("topkd_cluster_nodes_ejected", "gauge", "Member nodes currently ejected by the health checker.", int64(cl.Ejected()))
-		}
-		if rf, ok := probe[interface{ ReadFailovers() int64 }](st); ok {
-			metric("topkd_cluster_read_failovers_total", "counter", "Reads retried on a replica after the preferred member failed.", rf.ReadFailovers())
-		}
-		if he, ok := probe[interface {
-			Ejections() int64
-			Recoveries() int64
-		}](st); ok {
-			metric("topkd_cluster_ejections_total", "counter", "Ejection episodes begun by the health checker (healthy to ejected transitions).", he.Ejections())
-			metric("topkd_cluster_recoveries_total", "counter", "Ejection episodes ended by a member answering again.", he.Recoveries())
-		}
-		metric("topkd_http_in_flight_requests", "gauge", "Requests currently inside the serving middleware.", t.InFlight())
 		obs.WriteHistogramVec(&b, "topkd_http_request_duration_seconds",
 			"Request latency by endpoint.", "endpoint", t.HTTP)
 		obs.WriteHistogramVec(&b, "topkd_store_op_duration_seconds",
 			"Store operation latency by op.", "op", t.Ops)
-		if rv, ok := probe[interface{ RPCDurations() *obs.Vec }](st); ok {
+		if f.rpc != nil {
 			obs.WriteHistogramVec(&b, "topkd_cluster_rpc_duration_seconds",
-				"Member RPC latency by member address, as seen by this gateway's cluster client.", "member", rv.RPCDurations())
+				"Member RPC latency by member address, as seen by this gateway's cluster client.", "member", f.rpc)
 		}
 		obs.WriteRuntimeMetrics(&b)
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -475,7 +414,7 @@ func New(st topk.Store, opt Options) http.Handler {
 	// per-member gauges by node address. One scrape yields true fleet
 	// p50/p95/p99 instead of N pages to combine client-side. The
 	// gateway's own process page stays at /v1/metrics.
-	handleV1("GET", "/metrics/fleet", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/metrics/fleet", func(w http.ResponseWriter, r *http.Request) {
 		ms, ok := probe[metricsScraper](st)
 		if !ok {
 			httpError(w, http.StatusNotFound, "not_gateway",
@@ -498,90 +437,40 @@ func New(st topk.Store, opt Options) http.Handler {
 		_, _ = w.Write([]byte(b.String()))
 	})
 
+	// The JSON twin of /v1/metrics: every fact with a stats key, nested
+	// by its dot-separated path, plus quantiles estimated from the same
+	// histograms /v1/metrics exports raw (so a p99 here is within one
+	// log-scaled bucket — a factor of 2 — of the true value).
 	handle("GET", "/stats", func(w http.ResponseWriter, r *http.Request) {
-		s := st.Stats()
-		out := map[string]any{
-			"n":           st.Len(),
-			"reads":       s.Reads,
-			"writes":      s.Writes,
-			"blocks_live": s.BlocksLive,
-			"blocks_peak": s.BlocksPeak,
-		}
-		if sh, ok := probe[interface{ NumShards() int }](st); ok {
-			out["shards"] = sh.NumShards()
-		}
-		// Shard-lifecycle counters: how many automatic splits and
-		// delete-triggered merges the router has performed.
-		if lc, ok := probe[interface {
-			Splits() int64
-			Merges() int64
-		}](st); ok {
-			out["splits"] = lc.Splits()
-			out["merges"] = lc.Merges()
-		}
-		// Cluster introspection: node counts on a gateway.
-		if cl, ok := probe[interface {
-			Nodes() int
-			Ejected() int
-		}](st); ok {
-			out["nodes"] = cl.Nodes()
-			out["ejected"] = cl.Ejected()
-		}
-		// Group-commit counters when the store batches writes, plus the
-		// write-path telemetry: flush-reason counters and group-size /
-		// flush-latency quantiles from the same histograms /v1/metrics
-		// exports raw.
-		if bs, ok := st.(interface{ BatcherStats() topk.BatcherStats }); ok {
-			s := bs.BatcherStats()
-			batcher := map[string]any{
-				"flushes":   s.Flushes,
-				"ops":       s.Ops,
-				"max_group": s.MaxGroup,
-				"pending":   s.Pending,
+		f := collect(st, t, outcomes)
+		out := map[string]any{}
+		for _, x := range f.scalars {
+			if x.key != "" {
+				setPath(out, x.key, x.v)
 			}
-			if it, ok := st.(interface{ IngestTelemetry() *ingest.Telemetry }); ok {
-				if tel := it.IngestTelemetry(); tel != nil {
-					reasons := map[string]int64{}
-					for _, rc := range tel.ReasonCounts() {
-						reasons[rc.Reason] = rc.N
-					}
-					batcher["flush_reasons"] = reasons
-					if gs := tel.GroupSize.Snapshot(); gs.Count > 0 {
-						batcher["group_size"] = map[string]any{
-							"count": gs.Count,
-							"p50":   gs.Quantile(0.50),
-							"p95":   gs.Quantile(0.95),
-							"p99":   gs.Quantile(0.99),
-						}
-					}
-					if fl := tel.FlushLatency.Snapshot(); fl.Count > 0 {
-						batcher["flush_latency"] = map[string]any{
-							"count":  fl.Count,
-							"p50_ms": float64(fl.Quantile(0.50)) / 1e6,
-							"p95_ms": float64(fl.Quantile(0.95)) / 1e6,
-							"p99_ms": float64(fl.Quantile(0.99)) / 1e6,
-						}
-					}
-				}
-			}
-			if asyncAck {
-				size, ev := outcomes.snapshot()
-				batcher["outcome_ring"] = map[string]any{"occupancy": size, "evictions": ev}
-			}
-			out["batcher"] = batcher
 		}
-		// Latency quantiles per endpoint, estimated from the same
-		// histograms /v1/metrics exports raw (so p99 here is within one
-		// log-scaled bucket — a factor of 2 — of the true value).
+		if tel := f.ingest; tel != nil {
+			reasons := map[string]int64{}
+			for _, rc := range tel.ReasonCounts() {
+				reasons[rc.Reason] = rc.N
+			}
+			setPath(out, "batcher.flush_reasons", reasons)
+			if gs := tel.GroupSize.Snapshot(); gs.Count > 0 {
+				setPath(out, "batcher.group_size", map[string]any{
+					"count": gs.Count,
+					"p50":   gs.Quantile(0.50),
+					"p95":   gs.Quantile(0.95),
+					"p99":   gs.Quantile(0.99),
+				})
+			}
+			if fl := tel.FlushLatency.Snapshot(); fl.Count > 0 {
+				setPath(out, "batcher.flush_latency", quantilesMS(fl))
+			}
+		}
 		if snaps := t.HTTP.Snapshots(); len(snaps) > 0 {
 			lat := make(map[string]any, len(snaps))
 			for ep, s := range snaps {
-				lat[ep] = map[string]any{
-					"count":  s.Count,
-					"p50_ms": float64(s.Quantile(0.50)) / 1e6,
-					"p95_ms": float64(s.Quantile(0.95)) / 1e6,
-					"p99_ms": float64(s.Quantile(0.99)) / 1e6,
-				}
+				lat[ep] = quantilesMS(s)
 			}
 			out["latency"] = lat
 		}
@@ -592,6 +481,122 @@ func New(st topk.Store, opt Options) http.Handler {
 	// middleware, so a panicking handler still records its latency, its
 	// 500 status and its request log.
 	return t.Middleware(WithRecover(mux))
+}
+
+// fact is one scalar the introspection pages report: its /v1/stats key
+// path (dot-separated; empty for a metrics-only fact), its Prometheus
+// family name, type and help text, and its value.
+type fact struct {
+	key, name, typ, help string
+	v                    int64
+}
+
+// facts is one introspection scrape of the backend: the scalar facts
+// in /v1/metrics order, plus the histograms behind them.
+type facts struct {
+	scalars []fact
+	ingest  *ingest.Telemetry // write-path telemetry of a batching store
+	rpc     *obs.Vec          // member RPC latencies, on a gateway
+}
+
+// collect probes st once for everything /v1/stats and /v1/metrics
+// report, so each fact is stated in one place and both pages agree. A
+// surface the backend lacks contributes no facts, and both pages omit
+// them. outcomes is the async-ack ring, nil when async-ack is off.
+func collect(st topk.Store, t *obs.Telemetry, outcomes *outcomeRing) facts {
+	var f facts
+	add := func(key, name, typ, help string, v int64) {
+		f.scalars = append(f.scalars, fact{key, name, typ, help, v})
+	}
+	s := st.Stats()
+	add("n", "topkd_points_live", "gauge", "Number of live points.", int64(st.Len()))
+	add("reads", "topkd_io_reads_total", "counter", "Block reads charged by the simulated EM disks (retired disks included).", s.Reads)
+	add("writes", "topkd_io_writes_total", "counter", "Block writes charged by the simulated EM disks (retired disks included).", s.Writes)
+	add("blocks_live", "topkd_blocks_live", "gauge", "Disk blocks currently occupied fleet-wide.", s.BlocksLive)
+	add("blocks_peak", "topkd_blocks_peak", "gauge", "High-water mark of the fleet-wide live-block total.", s.BlocksPeak)
+	if sh, ok := probe[interface{ NumShards() int }](st); ok {
+		add("shards", "topkd_shards", "gauge", "Current shard count.", int64(sh.NumShards()))
+	}
+	// Shard-lifecycle counters: automatic splits and delete-triggered
+	// merges.
+	if lc, ok := probe[interface {
+		Splits() int64
+		Merges() int64
+	}](st); ok {
+		add("splits", "topkd_shard_splits_total", "counter", "Automatic shard splits since startup.", lc.Splits())
+		add("merges", "topkd_shard_merges_total", "counter", "Automatic shard merges since startup.", lc.Merges())
+	}
+	// Group-commit counters and write-path telemetry live on the
+	// batching wrapper itself, never on an inner layer.
+	if bs, ok := st.(interface{ BatcherStats() topk.BatcherStats }); ok {
+		b := bs.BatcherStats()
+		add("batcher.flushes", "topkd_ingest_flushes_total", "counter", "Write groups committed by the ingest batcher.", b.Flushes)
+		add("batcher.ops", "topkd_ingest_ops_total", "counter", "Single-op writes committed through the ingest batcher.", b.Ops)
+		add("batcher.max_group", "topkd_ingest_group_max", "gauge", "Largest single group the ingest batcher has committed.", b.MaxGroup)
+		add("batcher.pending", "topkd_ingest_pending", "gauge", "Writes enqueued in the ingest batcher and not yet committed.", b.Pending)
+	}
+	if it, ok := st.(interface{ IngestTelemetry() *ingest.Telemetry }); ok {
+		f.ingest = it.IngestTelemetry()
+	}
+	if outcomes != nil {
+		size, ev := outcomes.snapshot()
+		add("batcher.outcome_ring.occupancy", "topkd_outcome_ring_occupancy", "gauge", "Async-ack outcomes currently retained and queryable.", int64(size))
+		add("batcher.outcome_ring.evictions", "topkd_outcome_ring_evictions_total", "counter", "Async-ack outcomes evicted from the bounded ring (the cause of outcome_not_found).", ev)
+	}
+	add("", "topkd_trace_ring_evictions_total", "counter", "Finished traces evicted from the bounded ring (the cause of trace_not_found).", t.Tracer.RingEvictions())
+	if ep, ok := probe[interface{ Epoch() int64 }](st); ok {
+		// A gauge, not a counter: it tracks the snapshot version, which
+		// also advances on stats resets, not only on split/merge/
+		// rebalance lifecycle events.
+		add("", "topkd_topology_epoch", "gauge", "Topology snapshot version; increments on every snapshot publish (splits, merges, rebalances, stats resets).", ep.Epoch())
+	}
+	if cl, ok := probe[interface {
+		Nodes() int
+		Ejected() int
+	}](st); ok {
+		add("nodes", "topkd_cluster_nodes", "gauge", "Member nodes configured in the cluster.", int64(cl.Nodes()))
+		add("ejected", "topkd_cluster_nodes_ejected", "gauge", "Member nodes currently ejected by the health checker.", int64(cl.Ejected()))
+	}
+	if rf, ok := probe[interface{ ReadFailovers() int64 }](st); ok {
+		add("", "topkd_cluster_read_failovers_total", "counter", "Reads retried on a replica after the preferred member failed.", rf.ReadFailovers())
+	}
+	if he, ok := probe[interface {
+		Ejections() int64
+		Recoveries() int64
+	}](st); ok {
+		add("", "topkd_cluster_ejections_total", "counter", "Ejection episodes begun by the health checker (healthy to ejected transitions).", he.Ejections())
+		add("", "topkd_cluster_recoveries_total", "counter", "Ejection episodes ended by a member answering again.", he.Recoveries())
+	}
+	add("", "topkd_http_in_flight_requests", "gauge", "Requests currently inside the serving middleware.", t.InFlight())
+	if rv, ok := probe[interface{ RPCDurations() *obs.Vec }](st); ok {
+		f.rpc = rv.RPCDurations()
+	}
+	return f
+}
+
+// setPath stores v in m under the dot-separated key path, creating
+// the nested objects on the way.
+func setPath(m map[string]any, path string, v any) {
+	keys := strings.Split(path, ".")
+	for _, k := range keys[:len(keys)-1] {
+		sub, ok := m[k].(map[string]any)
+		if !ok {
+			sub = map[string]any{}
+			m[k] = sub
+		}
+		m = sub
+	}
+	m[keys[len(keys)-1]] = v
+}
+
+// quantilesMS summarizes a latency histogram for /v1/stats.
+func quantilesMS(s obs.Snapshot) map[string]any {
+	return map[string]any{
+		"count":  s.Count,
+		"p50_ms": float64(s.Quantile(0.50)) / 1e6,
+		"p95_ms": float64(s.Quantile(0.95)) / 1e6,
+		"p99_ms": float64(s.Quantile(0.99)) / 1e6,
+	}
 }
 
 // probe type-asserts st against an optional introspection interface,
@@ -659,21 +664,13 @@ func stitchMembers(ctx context.Context, tf traceFetcher, id string, tree *obs.Tr
 }
 
 // outcomeRing is the bounded registry of async-acked write outcomes,
-// the same eviction shape as the trace ring: the newest cap entries
-// stay queryable, older ones age out.
+// the same eviction shape as the trace ring: the newest outcomeCap
+// entries stay queryable, older ones age out.
 type outcomeRing struct {
 	mu        sync.Mutex
-	cap       int
 	ids       []string // insertion order, oldest first
 	m         map[string]topk.Future
 	evictions int64
-}
-
-func newOutcomeRing(cap int) *outcomeRing {
-	if cap <= 0 {
-		cap = 4096
-	}
-	return &outcomeRing{cap: cap, m: make(map[string]topk.Future, cap)}
 }
 
 // add registers f and returns its outcome ID, evicting the oldest
@@ -682,7 +679,7 @@ func (g *outcomeRing) add(f topk.Future) string {
 	id := fmt.Sprintf("%016x", rand.Uint64())
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if len(g.ids) >= g.cap {
+	if len(g.ids) >= outcomeCap {
 		delete(g.m, g.ids[0])
 		g.ids = g.ids[1:]
 		g.evictions++
@@ -692,7 +689,11 @@ func (g *outcomeRing) add(f topk.Future) string {
 	return id
 }
 
+// get looks an outcome up by ID; a nil ring (async-ack off) holds none.
 func (g *outcomeRing) get(id string) (topk.Future, bool) {
+	if g == nil {
+		return topk.Future{}, false
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	f, ok := g.m[id]
@@ -804,16 +805,6 @@ func runBatch(ctx context.Context, st topk.Store, opt Options, t *obs.Telemetry,
 		items[queryAt[j]] = batchItem{OK: true, Results: toJSON(res)}
 	}
 	return items, nil
-}
-
-// ClampK caps a client k at the live size: k > n returns everything
-// anyway, and the selection paths preallocate k-sized buffers, so an
-// absurd client k must not size an allocation.
-func ClampK(st topk.Store, k int) int {
-	if n := st.Len(); k > n {
-		return n
-	}
-	return k
 }
 
 // ClampPage sizes the fetch for a paginated read: the offset points
@@ -957,50 +948,3 @@ func httpError(w http.ResponseWriter, status int, code, format string, args ...a
 		"error": errJSON{Code: code, Message: fmt.Sprintf(format, args...)},
 	})
 }
-
-// LockedIndex serializes a sequential *topk.Index behind the Store
-// interface with one mutex. It exists so topkd -backend single can
-// answer concurrent HTTP traffic correctly (if slowly) — the measured
-// argument for the sharded backend — and so tests and benches can
-// mount an Index anywhere a concurrent Store is required.
-func LockedIndex(idx *topk.Index) topk.Store { return &lockedStore{idx: idx} }
-
-type lockedStore struct {
-	mu  sync.Mutex
-	idx *topk.Index
-}
-
-func (l *lockedStore) Len() int { l.mu.Lock(); defer l.mu.Unlock(); return l.idx.Len() }
-func (l *lockedStore) Insert(pos, score float64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.idx.Insert(pos, score)
-}
-func (l *lockedStore) Delete(pos, score float64) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.idx.Delete(pos, score)
-}
-func (l *lockedStore) ApplyBatch(ops []topk.BatchOp) []error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.idx.ApplyBatch(ops)
-}
-func (l *lockedStore) TopK(x1, x2 float64, k int) []topk.Result {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.idx.TopK(x1, x2, k)
-}
-func (l *lockedStore) QueryBatch(qs []topk.Query) [][]topk.Result {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.idx.QueryBatch(qs)
-}
-func (l *lockedStore) Count(x1, x2 float64) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.idx.Count(x1, x2)
-}
-func (l *lockedStore) Stats() topk.Stats { l.mu.Lock(); defer l.mu.Unlock(); return l.idx.Stats() }
-func (l *lockedStore) ResetStats()       { l.mu.Lock(); defer l.mu.Unlock(); l.idx.ResetStats() }
-func (l *lockedStore) DropCache()        { l.mu.Lock(); defer l.mu.Unlock(); l.idx.DropCache() }

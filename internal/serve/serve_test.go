@@ -35,6 +35,21 @@ func testStore(t *testing.T, n int) topk.Store {
 	return st
 }
 
+// bareStore exposes only the ten topk.Store methods of the store it
+// embeds — no optional introspection surface and no Unwrap — so a
+// one-shard Sharded inside it stands for any backend that lacks them.
+type bareStore struct{ topk.Store }
+
+// newBareStore returns an empty one-shard Sharded behind bareStore.
+func newBareStore(t testing.TB) topk.Store {
+	t.Helper()
+	sh, err := topk.NewSharded(topk.ShardedConfig{Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return bareStore{sh}
+}
+
 func getJSON(t *testing.T, url string, out any) int {
 	t.Helper()
 	resp, err := http.Get(url)
@@ -88,19 +103,15 @@ func TestEpochEndpoint(t *testing.T) {
 	}
 	// Epoch-less backends still answer (0), keeping the endpoint a
 	// universal health probe.
-	idx, err := topk.New(topk.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	single := httptest.NewServer(New(LockedIndex(idx), Options{}))
-	defer single.Close()
-	getJSON(t, single.URL+"/v1/epoch", &out)
+	bare := httptest.NewServer(New(newBareStore(t), Options{}))
+	defer bare.Close()
+	getJSON(t, bare.URL+"/v1/epoch", &out)
 	if out.Epoch != 0 {
-		t.Fatalf("single-backend epoch %d, want 0", out.Epoch)
+		t.Fatalf("epoch-less backend epoch %d, want 0", out.Epoch)
 	}
-	// No unversioned alias for the new endpoints.
+	// No unversioned route.
 	if code := getJSON(t, srv.URL+"/epoch", nil); code != 404 {
-		t.Fatalf("/epoch alias status %d, want 404", code)
+		t.Fatalf("/epoch status %d, want 404", code)
 	}
 }
 

@@ -50,7 +50,7 @@ func TestTraceDifferential(t *testing.T) {
 	var gwLog, m0Log, m1Log syncBuffer
 	gwObs := debugTelemetry(&gwLog, 1) // sample every request
 	memberObs := []*obs.Telemetry{debugTelemetry(&m0Log, 0), debugTelemetry(&m1Log, 0)}
-	gw, shutdown := bootTestGateway(t, gwObs, memberObs)
+	gw, _, shutdown := bootTestGateway(t, gwObs, memberObs)
 	defer shutdown()
 
 	run := func(clientID string) {

@@ -53,13 +53,16 @@ type Query struct {
 // return byte-identical answers on the same point set, updates obey
 // the same error contract, and no method panics on caller input. The
 // difference is operational — *Index is not safe for concurrent use
-// (even queries mutate the buffer pool's LRU state), *Sharded is.
+// (even queries mutate the buffer pool's LRU state), *Sharded is. A
+// concurrent caller that wants one EM machine uses a one-shard Sharded
+// (ShardedConfig{Shards: 1}).
 //
 // Backend-specific surface stays off the interface and is probed with
 // type assertions where needed: *Sharded additionally offers shard
 // introspection (NumShards, Boundaries, Epoch, Splits, Merges,
 // CheckInvariants) and the lifecycle controls (Rebalance, Maintain,
-// Close) — cmd/topkd does exactly this for /v1/stats and /v1/metrics.
+// Close) — internal/serve does exactly this for /v1/stats and
+// /v1/metrics.
 type Store interface {
 	// Len returns the number of live points.
 	Len() int
