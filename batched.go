@@ -31,9 +31,6 @@ type BatchedConfig struct {
 	// Stripes is the enqueue-buffer stripe count (rounded up to a
 	// power of two). 0 means 8.
 	Stripes int
-	// MaxPending is the backpressure bound: a producer observing more
-	// pending ops tries to drive a commit itself. 0 means 4×MaxBatch.
-	MaxPending int
 	// DisableTelemetry turns off the batcher's write-path telemetry
 	// (group-size/flush-latency histograms, flush-reason counters).
 	// Exists so the instrumentation-overhead experiment (e15) can
@@ -99,7 +96,6 @@ func (f Future) Wait() error { return f.f.Wait() }
 type Batched struct {
 	inner Store
 	b     *ingest.Batcher
-	buf   []BatchOp // flush conversion buffer; flushes are serialized by the commit slot
 }
 
 // Batched is a Store; compile-time assertion (works over any
@@ -112,57 +108,43 @@ func NewBatched(st Store, cfg BatchedConfig) (*Batched, error) {
 	if st == nil {
 		return nil, fmt.Errorf("%w: nil store", ErrConfig)
 	}
-	if cfg.MaxBatch < 0 || cfg.Stripes < 0 || cfg.MaxPending < 0 {
+	if cfg.MaxBatch < 0 || cfg.Stripes < 0 {
 		return nil, fmt.Errorf("%w: negative batcher bound", ErrConfig)
 	}
-	bt := &Batched{inner: st}
-	bt.b = ingest.New(ingest.Options{
-		Flush:            bt.flush,
+	// Each group commits as one ApplyBatch on the inner store.
+	return &Batched{inner: st, b: ingest.New(ingest.Options{
+		Flush:            st.ApplyBatch,
 		MaxBatch:         cfg.MaxBatch,
 		Window:           cfg.Window,
 		Stripes:          cfg.Stripes,
-		MaxPending:       cfg.MaxPending,
 		DisableTelemetry: cfg.DisableTelemetry,
-	})
-	return bt, nil
-}
-
-// flush commits one group via the inner store's ApplyBatch. Calls are
-// serialized by the batcher's commit slot, so the conversion buffer is
-// safely reused across flushes.
-func (bt *Batched) flush(ops []ingest.Op) []error {
-	buf := bt.buf[:0]
-	for _, op := range ops {
-		buf = append(buf, BatchOp{Delete: op.Delete, X: op.X, Score: op.Score})
-	}
-	bt.buf = buf
-	return bt.inner.ApplyBatch(buf)
+	})}, nil
 }
 
 // Insert adds (pos, score) through the group-commit path, parking
 // until the group commits. The error contract matches the inner
 // store's Insert exactly.
 func (bt *Batched) Insert(pos, score float64) error {
-	return bt.b.Do(ingest.Op{X: pos, Score: score})
+	return bt.b.Do(BatchOp{X: pos, Score: score})
 }
 
 // Delete removes (pos, score) through the group-commit path, parking
 // until the group commits. It reports whether the point was present,
 // matching the inner store's Delete contract.
 func (bt *Batched) Delete(pos, score float64) bool {
-	return bt.b.Do(ingest.Op{Delete: true, X: pos, Score: score}) == nil
+	return bt.b.Do(BatchOp{Delete: true, X: pos, Score: score}) == nil
 }
 
 // SubmitInsert enqueues an insert and returns immediately; the Future
 // resolves when the op's group commits.
 func (bt *Batched) SubmitInsert(pos, score float64) Future {
-	return Future{f: bt.b.Submit(ingest.Op{X: pos, Score: score})}
+	return Future{f: bt.b.Submit(BatchOp{X: pos, Score: score})}
 }
 
 // SubmitDelete enqueues a delete and returns immediately; the Future
 // resolves to nil if the point was present, ErrNotFound otherwise.
 func (bt *Batched) SubmitDelete(pos, score float64) Future {
-	return Future{f: bt.b.Submit(ingest.Op{Delete: true, X: pos, Score: score})}
+	return Future{f: bt.b.Submit(BatchOp{Delete: true, X: pos, Score: score})}
 }
 
 // Flush drives one group commit now, draining every pending op. Useful

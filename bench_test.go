@@ -396,7 +396,7 @@ func BenchmarkShardedTopK(b *testing.B) {
 		}, pts)
 		for _, g := range []int{1, 4, 16, 64} {
 			b.Run(fmt.Sprintf("shards=%d/goroutines=%d", shards, g), func(b *testing.B) {
-				res := workload.RunConcurrent(g, b.N, queries, func(q workload.QuerySpec) {
+				res := workload.RunConcurrent(g, b.N, queries, func(q Query) {
 					idx.TopK(q.X1, q.X2, q.K)
 				})
 				b.ReportMetric(res.QPS(), "qps")

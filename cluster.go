@@ -65,7 +65,8 @@ type ClusterConfig struct {
 // the single writer. See DESIGN.md ("cluster tier") for routing,
 // failure semantics and what is NOT replicated.
 type Cluster struct {
-	c *cluster.Cluster
+	c   *cluster.Cluster
+	ctx context.Context // carried to every member RPC; see WithContext
 }
 
 // Cluster implements Store like the in-process backends.
@@ -92,7 +93,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{c: c}, nil
+	return &Cluster{c: c, ctx: context.Background()}, nil
 }
 
 // Len returns the gateway's view of the live point count (synced from
@@ -104,7 +105,7 @@ func (c *Cluster) Len() int { return c.c.Len() }
 // checked in that order — plus ErrNodeDown when the owning band cannot
 // take the write. A failed insert mutates nothing.
 func (c *Cluster) Insert(pos, score float64) error {
-	return c.c.Insert(context.Background(), point.P{X: pos, Score: score})
+	return c.c.Insert(c.ctx, point.P{X: pos, Score: score})
 }
 
 // Delete removes (pos, score), reporting whether it was present. The
@@ -112,20 +113,14 @@ func (c *Cluster) Insert(pos, score float64) error {
 // delete the owning band cannot serve reports false; use ApplyBatch to
 // observe ErrNodeDown explicitly.
 func (c *Cluster) Delete(pos, score float64) bool {
-	return c.c.Delete(context.Background(), point.P{X: pos, Score: score})
+	return c.c.Delete(c.ctx, point.P{X: pos, Score: score})
 }
 
 // ApplyBatch applies a mixed batch, routing ops by score and shipping
 // each band's sub-batch as one network request per replica. Outcomes
 // follow the Store contract, with ErrNodeDown for every op of a band
 // whose replica group was ejected, unreachable, or disagreed.
-func (c *Cluster) ApplyBatch(ops []BatchOp) []error {
-	cops := make([]cluster.Op, len(ops))
-	for i, op := range ops {
-		cops[i] = cluster.Op{Delete: op.Delete, P: point.P{X: op.X, Score: op.Score}}
-	}
-	return c.c.ApplyBatch(context.Background(), cops)
-}
+func (c *Cluster) ApplyBatch(ops []BatchOp) []error { return c.c.ApplyBatch(c.ctx, ops) }
 
 // TopK returns the k highest-scoring points with position in [x1, x2]
 // in descending score order — the same answer as a single Index on the
@@ -134,49 +129,35 @@ func (c *Cluster) ApplyBatch(ops []BatchOp) []error {
 // partial answers rather than erroring (the Store read signature has
 // no error channel); watch Ejected and ReadFailovers to detect it.
 func (c *Cluster) TopK(x1, x2 float64, k int) []Result {
-	return toResults(c.c.TopK(context.Background(), x1, x2, k))
+	return c.c.TopK(c.ctx, x1, x2, k)
 }
 
 // QueryBatch answers many queries at once: each band's replica gets
 // the whole query list in one request, then per-query answers are
 // heap-merged. Positionally aligned with qs, byte-identical to TopK
 // per query.
-func (c *Cluster) QueryBatch(qs []Query) [][]Result {
-	if len(qs) == 0 {
-		return nil
-	}
-	cqs := make([]cluster.Query, len(qs))
-	for i, q := range qs {
-		cqs[i] = cluster.Query{X1: q.X1, X2: q.X2, K: q.K}
-	}
-	lists := c.c.QueryBatch(context.Background(), cqs)
-	out := make([][]Result, len(lists))
-	for i, l := range lists {
-		out[i] = toResults(l)
-	}
-	return out
-}
+func (c *Cluster) QueryBatch(qs []Query) [][]Result { return c.c.QueryBatch(c.ctx, qs) }
 
 // Count returns the number of live points with position in [x1, x2],
 // summed across one replica per band.
 func (c *Cluster) Count(x1, x2 float64) int {
-	return c.c.Count(context.Background(), x1, x2)
+	return c.c.Count(c.ctx, x1, x2)
 }
 
 // Stats sums the simulated-disk meters across every reachable member
 // (replicas included — each performs its own I/O). cmd/topkd exports
 // the same aggregate on a gateway's /v1/stats and /v1/metrics.
 func (c *Cluster) Stats() Stats {
-	s := c.c.Stats(context.Background())
+	s := c.c.Stats(c.ctx)
 	return Stats{Reads: s.Reads, Writes: s.Writes, BlocksLive: s.BlocksLive, BlocksPeak: s.BlocksPeak}
 }
 
 // ResetStats zeroes every reachable member's counters (best-effort).
-func (c *Cluster) ResetStats() { c.c.ResetStats(context.Background()) }
+func (c *Cluster) ResetStats() { c.c.ResetStats(c.ctx) }
 
 // DropCache evicts every reachable member's buffer pools so the next
 // operations run cold (best-effort).
-func (c *Cluster) DropCache() { c.c.DropCache(context.Background()) }
+func (c *Cluster) DropCache() { c.c.DropCache(c.ctx) }
 
 // Nodes returns the number of member nodes configured (replicas
 // included).
@@ -227,64 +208,16 @@ func (c *Cluster) FetchTrace(ctx context.Context, addr, id string) (obs.TraceJSO
 	return c.c.FetchTrace(ctx, addr, id)
 }
 
-// WithContext returns a Store view of the cluster whose operations
-// carry ctx down to every member RPC — deadline, cancellation and any
-// obs trace propagate end-to-end. The Store interface itself has no
+// WithContext returns a view of the cluster whose operations carry
+// ctx down to every member RPC — deadline, cancellation and any obs
+// trace propagate end-to-end. The Store interface itself has no
 // context parameters (the in-process backends have nothing to cancel),
 // so the serving layer probes for this method and binds each request's
 // context before dispatching. The view shares all state with c; only
 // the context differs.
 func (c *Cluster) WithContext(ctx context.Context) Store {
-	return boundCluster{outer: c, ctx: ctx}
+	return &Cluster{c: c.c, ctx: ctx}
 }
-
-// boundCluster is a Cluster view with a bound request context.
-type boundCluster struct {
-	outer *Cluster
-	ctx   context.Context
-}
-
-var _ Store = boundCluster{}
-
-func (b boundCluster) Len() int { return b.outer.Len() }
-func (b boundCluster) Insert(pos, score float64) error {
-	return b.outer.c.Insert(b.ctx, point.P{X: pos, Score: score})
-}
-func (b boundCluster) Delete(pos, score float64) bool {
-	return b.outer.c.Delete(b.ctx, point.P{X: pos, Score: score})
-}
-func (b boundCluster) ApplyBatch(ops []BatchOp) []error {
-	cops := make([]cluster.Op, len(ops))
-	for i, op := range ops {
-		cops[i] = cluster.Op{Delete: op.Delete, P: point.P{X: op.X, Score: op.Score}}
-	}
-	return b.outer.c.ApplyBatch(b.ctx, cops)
-}
-func (b boundCluster) TopK(x1, x2 float64, k int) []Result {
-	return toResults(b.outer.c.TopK(b.ctx, x1, x2, k))
-}
-func (b boundCluster) QueryBatch(qs []Query) [][]Result {
-	if len(qs) == 0 {
-		return nil
-	}
-	cqs := make([]cluster.Query, len(qs))
-	for i, q := range qs {
-		cqs[i] = cluster.Query{X1: q.X1, X2: q.X2, K: q.K}
-	}
-	lists := b.outer.c.QueryBatch(b.ctx, cqs)
-	out := make([][]Result, len(lists))
-	for i, l := range lists {
-		out[i] = toResults(l)
-	}
-	return out
-}
-func (b boundCluster) Count(x1, x2 float64) int { return b.outer.c.Count(b.ctx, x1, x2) }
-func (b boundCluster) Stats() Stats {
-	s := b.outer.c.Stats(b.ctx)
-	return Stats{Reads: s.Reads, Writes: s.Writes, BlocksLive: s.BlocksLive, BlocksPeak: s.BlocksPeak}
-}
-func (b boundCluster) ResetStats() { b.outer.c.ResetStats(b.ctx) }
-func (b boundCluster) DropCache()  { b.outer.c.DropCache(b.ctx) }
 
 // Close stops the background health prober, if one was started, and
 // releases pooled connections. Idempotent; the cluster keeps serving

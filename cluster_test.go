@@ -93,7 +93,7 @@ func uniformResults(seed int64, n int, domain float64) []topk.Result {
 
 // checkClusterQueries compares TopK per query AND one QueryBatch over
 // all queries against the oracle, byte-identically.
-func checkClusterQueries(t *testing.T, cl *topk.Cluster, oracle *topk.Index, qs []workload.QuerySpec) {
+func checkClusterQueries(t *testing.T, cl *topk.Cluster, oracle *topk.Index, qs []topk.Query) {
 	t.Helper()
 	batch := make([]topk.Query, len(qs))
 	for i, q := range qs {
@@ -152,9 +152,9 @@ func TestClusterMatchesIndex(t *testing.T) {
 	// Full-range and oversized-k queries interleave every band's
 	// answers through the shared merge.
 	qs = append(qs,
-		workload.QuerySpec{X1: math.Inf(-1), X2: math.Inf(1), K: 100},
-		workload.QuerySpec{X1: 0, X2: 1e6, K: len(pts) + 500},
-		workload.QuerySpec{X1: 2e5, X2: 7e5, K: 1})
+		topk.Query{X1: math.Inf(-1), X2: math.Inf(1), K: 100},
+		topk.Query{X1: 0, X2: 1e6, K: len(pts) + 500},
+		topk.Query{X1: 2e5, X2: 7e5, K: 1})
 	checkClusterQueries(t, cl, oracle, qs)
 
 	// Updates through the gateway: inserts and deletes mirror onto the
@@ -286,7 +286,7 @@ func TestClusterNodeDownReadFailover(t *testing.T) {
 	}
 	gen := workload.NewGen(96)
 	qs := gen.Queries(32, 1e6, 0.001, 0.05, 32)
-	qs = append(qs, workload.QuerySpec{X1: math.Inf(-1), X2: math.Inf(1), K: 200})
+	qs = append(qs, topk.Query{X1: math.Inf(-1), X2: math.Inf(1), K: 200})
 	checkClusterQueries(t, cl, oracle, qs)
 
 	// Kill one replica of band 0 mid-run. Round-robin read preference
@@ -535,8 +535,8 @@ func TestClusterConcurrentChurn(t *testing.T) {
 	gen := workload.NewGen(100)
 	qs := gen.Queries(48, 1e6, 0.001, 0.05, 32)
 	qs = append(qs,
-		workload.QuerySpec{X1: math.Inf(-1), X2: math.Inf(1), K: len(all)},
-		workload.QuerySpec{X1: 4e6, X2: 6e6, K: 500})
+		topk.Query{X1: math.Inf(-1), X2: math.Inf(1), K: len(all)},
+		topk.Query{X1: 4e6, X2: 6e6, K: 500})
 	checkClusterQueries(t, cl, oracle, qs)
 	if ej := cl.Ejected(); ej != 0 {
 		t.Fatalf("healthy fleet reports %d ejected nodes", ej)
@@ -642,6 +642,70 @@ func TestClusterEjectionRecoveryEpisodes(t *testing.T) {
 	for _, want := range []string{"member ejected", "member recovered", "consecutive_failures", "eject_deadline", srv.URL} {
 		if !strings.Contains(log, want) {
 			t.Errorf("structured log missing %q:\n%s", want, log)
+		}
+	}
+}
+
+// TestAnswersNotAliased: an answer belongs to its caller. Scribbling
+// over a returned TopK or QueryBatch slice — its whole capacity, not
+// just its length — must leave a repeated answer unchanged, on Index,
+// on Sharded (one shard, and a query straddling shards) and on
+// Cluster.
+func TestAnswersNotAliased(t *testing.T) {
+	pts := uniformResults(31, 3000, 1e6)
+	cfg := testClusterCfg()
+	idx, err := topk.Load(cfg, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := topk.LoadSharded(topk.ShardedConfig{Config: cfg, Shards: 1}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	many, err := topk.LoadSharded(topk.ShardedConfig{Config: cfg, Shards: 4}, pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := bootFleet(t, pts, []bandSpec{{math.Inf(-1), 0.5, 1}, {0.5, math.Inf(1), 1}})
+	cl, err := topk.NewCluster(topk.ClusterConfig{Members: fleet.addrs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	cut := many.Boundaries()[1]
+	qs := []topk.Query{
+		{X1: 0, X2: 1e6, K: 20},
+		{X1: cut - 5e4, X2: cut + 5e4, K: 20}, // straddles a shard cut
+		{X1: 1e5, X2: 1.2e5, K: 5},
+	}
+	scribble := func(rs []topk.Result) {
+		full := rs[:cap(rs)]
+		for i := range full {
+			full[i] = topk.Result{X: -1, Score: -1}
+		}
+	}
+	for _, b := range []struct {
+		name string
+		st   topk.Store
+	}{{"index", idx}, {"sharded/1", one}, {"sharded/4", many}, {"cluster", cl}} {
+		for _, q := range qs {
+			want := b.st.TopK(q.X1, q.X2, q.K)
+			if len(want) == 0 {
+				t.Fatalf("%s %+v: empty answer, the test needs hits", b.name, q)
+			}
+			scribble(b.st.TopK(q.X1, q.X2, q.K))
+			if got := b.st.TopK(q.X1, q.X2, q.K); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %+v: TopK changed after scribbling an earlier answer", b.name, q)
+			}
+			batch := b.st.QueryBatch([]topk.Query{q, q})
+			scribble(batch[0])
+			if !reflect.DeepEqual(batch[1], want) {
+				t.Fatalf("%s %+v: QueryBatch answers share backing within one batch", b.name, q)
+			}
+			scribble(batch[1])
+			if got := b.st.QueryBatch([]topk.Query{q}); !reflect.DeepEqual(got[0], want) {
+				t.Fatalf("%s %+v: QueryBatch changed after scribbling an earlier answer", b.name, q)
+			}
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package main
 
 // Machine-readable benchmark output: -json makes every serving-layer
-// experiment (e15, e17, e18) also write a BENCH_<exp>.json with one row
+// experiment (e15, e17, e18, e19) also write a BENCH_<exp>.json with one row
 // per measured configuration — qps, ns/op and allocs/op — so CI can
 // archive the numbers per commit and the performance trajectory of the
 // repo is a diffable artifact instead of scrollback.

@@ -42,7 +42,7 @@ var experiments = []experiment{
 	{"e14", "Ablations: pool size, φ, adaptive selection, sketch base", e14},
 	{"e15", "Serving layer (Store v1): TopK vs QueryBatch throughput", e15},
 	{"e16", "Shard lifecycle: delete-churn qps and shard count, merges on vs off", e16},
-	{"e17", "Snapshot routing: read qps under concurrent writers, snapshot vs rlock", e17},
+	{"e17", "Snapshot routing: read qps under concurrent writers", e17},
 	{"e18", "Cluster tier: gateway scatter-gather qps vs node count, vs direct-local", e18},
 	{"e19", "Write path: single-op insert qps, group commit on vs off, cluster tier", e19},
 }

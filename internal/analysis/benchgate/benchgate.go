@@ -1,14 +1,16 @@
 // Package benchgate turns the committed BENCH_*.json baselines into a
 // blocking CI check. cmd/topkbench -json writes one row per measured
 // configuration of the serving-layer experiments (e15 sharded reads,
-// e17 snapshot routing, e18 cluster scatter-gather); this gate diffs a
-// fresh run against the committed baseline and fails when a
-// configuration regressed:
+// e17 reads under writer churn, e18 cluster scatter-gather, e19
+// write-path group commit); this gate diffs a fresh run against the
+// committed baseline and fails when a configuration regressed:
 //
-//   - throughput: fresh qps below (1 - maxQPSDrop) of baseline. The
-//     default drop budget is deliberately generous (25%) because qps
-//     moves with the machine — the gate exists to catch "half the
-//     throughput after a refactor", not 3% jitter.
+//   - throughput: fresh qps below (1 - maxQPSDrop) of baseline. qps
+//     moves with the machine, so the budget is generous — the default
+//     is 25%, and `make benchgate` (the CI gate) passes 0.5 for the
+//     in-process e15/e17 and 0.6 for the HTTP-fleet e18/e19. The gate
+//     exists to catch "half the throughput after a refactor", not
+//     jitter.
 //   - allocations: fresh allocs/op above baseline*allocRatio +
 //     allocSlack. allocs/op comes from a process-wide Mallocs delta,
 //     so background noise leaks in; the slack absorbs it while still

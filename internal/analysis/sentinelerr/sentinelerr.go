@@ -1,10 +1,10 @@
 // Package sentinelerr bans string- and identity-matching against the
 // module's sentinel errors (topk.ErrConfig, topk.ErrNotFound,
-// cluster's ErrNodeDown, ...). Every layer of the stack wraps errors
+// wire's ErrNodeDown, ...). Every layer of the stack wraps errors
 // with context ("shard 3: %w", "node a:1: %w"), so `err == ErrX`
 // silently stops matching the moment a wrapper is introduced — the
-// serve layer's errCode mapping only stays correct because it uses
-// errors.Is. Matching on err.Error() text is the same bug with extra
+// wire package's sentinel-to-code table only stays correct because it
+// uses errors.Is. Matching on err.Error() text is the same bug with extra
 // steps.
 //
 // Flagged anywhere in the tree:

@@ -1,8 +1,8 @@
 package cluster
 
 // This file is the HTTP half of one member node: a node owns its base
-// URL and health state and speaks internal/serve's /v1 surface through
-// the cluster's shared, pooled transport. Every call takes a context
+// URL and health state and speaks the /v1 surface, in internal/wire's
+// schema, through the cluster's shared, pooled transport. Every call takes a context
 // that already carries the per-request deadline (Cluster.callCtx), so
 // cancellation and timeouts thread end-to-end from the gateway's
 // caller down to the member's socket.
@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/point"
+	"repro/internal/wire"
 )
 
 // node is one member process of the cluster.
@@ -98,9 +99,9 @@ func (n *node) do(req *http.Request, out any) (err error) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		data, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-		var eb errBody
+		var eb wire.ErrBody
 		if json.Unmarshal(data, &eb) == nil && eb.Error.Code != "" && resp.StatusCode < 500 {
-			return errFromCode(eb.Error.Code, eb.Error.Message)
+			return eb.Error.AsError()
 		}
 		return fmt.Errorf("%s: %w: http %d: %s", n.addr, ErrNodeDown, resp.StatusCode, data)
 	}
@@ -116,8 +117,8 @@ func (n *node) do(req *http.Request, out any) (err error) {
 }
 
 // fetchRange asks the member for its declared score band.
-func (n *node) fetchRange(ctx context.Context) (rangeResp, error) {
-	var r rangeResp
+func (n *node) fetchRange(ctx context.Context) (wire.Range, error) {
+	var r wire.Range
 	err := n.get(ctx, "/v1/range", &r)
 	return r, err
 }
@@ -127,7 +128,7 @@ func (n *node) fetchRange(ctx context.Context) (rangeResp, error) {
 // topology), so a probe failure always means the PROCESS is in
 // trouble, never that the backend is the wrong flavor.
 func (n *node) probe(ctx context.Context) error {
-	var e epochResp
+	var e wire.Epoch
 	return n.get(ctx, "/v1/epoch", &e)
 }
 
@@ -140,11 +141,11 @@ func (n *node) topk(ctx context.Context, x1, x2 float64, k int) ([]point.P, erro
 	q.Set("x1", fmtFloat(x1))
 	q.Set("x2", fmtFloat(x2))
 	q.Set("k", strconv.Itoa(k))
-	var r topkResp
+	var r wire.TopK
 	if err := n.get(ctx, "/v1/topk?"+q.Encode(), &r); err != nil {
 		return nil, err
 	}
-	return toPoints(r.Results), nil
+	return r.Results, nil
 }
 
 // count runs one remote Count.
@@ -152,7 +153,7 @@ func (n *node) count(ctx context.Context, x1, x2 float64) (int, error) {
 	q := url.Values{}
 	q.Set("x1", fmtFloat(x1))
 	q.Set("x2", fmtFloat(x2))
-	var r countResp
+	var r wire.Count
 	if err := n.get(ctx, "/v1/count?"+q.Encode(), &r); err != nil {
 		return 0, err
 	}
@@ -161,9 +162,9 @@ func (n *node) count(ctx context.Context, x1, x2 float64) (int, error) {
 
 // batch runs one remote /v1/batch, returning the per-op items aligned
 // with ops.
-func (n *node) batch(ctx context.Context, ops []wireOp) ([]wireItem, error) {
-	var r batchResp
-	if err := n.post(ctx, "/v1/batch", batchReq{Ops: ops}, &r); err != nil {
+func (n *node) batch(ctx context.Context, ops []wire.Op) ([]wire.Item, error) {
+	var r wire.BatchResp
+	if err := n.post(ctx, "/v1/batch", wire.BatchReq{Ops: ops}, &r); err != nil {
 		return nil, err
 	}
 	if len(r.Results) != len(ops) {
@@ -173,8 +174,8 @@ func (n *node) batch(ctx context.Context, ops []wireOp) ([]wireItem, error) {
 }
 
 // stats fetches the member's meter snapshot.
-func (n *node) stats(ctx context.Context) (statsResp, error) {
-	var r statsResp
+func (n *node) stats(ctx context.Context) (wire.Stats, error) {
+	var r wire.Stats
 	err := n.get(ctx, "/v1/stats", &r)
 	return r, err
 }

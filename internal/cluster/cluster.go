@@ -49,7 +49,14 @@ import (
 	"repro/internal/merge"
 	"repro/internal/obs"
 	"repro/internal/point"
+	"repro/internal/wire"
 )
+
+// ErrNodeDown reports that a member node could not serve a request:
+// unreachable, timed out, broken, or ejected by the health checker. It
+// is internal/wire's sentinel (the code table maps node_down to it),
+// re-exported as topk.ErrNodeDown; match with errors.Is.
+var ErrNodeDown = wire.ErrNodeDown
 
 // parallel runs fns concurrently and re-raises worker panics on the
 // caller (merge.Parallel — the same runner the shard fan-out uses).
@@ -198,11 +205,10 @@ func New(cfg Config) (*Cluster, error) {
 	}
 
 	// Discover each member's band, in parallel.
-	ranges := make([]rangeResp, len(c.nodes))
+	ranges := make([]wire.Range, len(c.nodes))
 	errs := make([]error, len(c.nodes))
 	fns := make([]func(), len(c.nodes))
 	for i, n := range c.nodes {
-		i, n := i, n
 		fns[i] = func() {
 			ctx, cancel := c.callCtx(context.Background())
 			defer cancel()
@@ -220,7 +226,7 @@ func New(cfg Config) (*Cluster, error) {
 	byBand := map[[2]float64]*group{}
 	bandN := map[[2]float64]int{}
 	for i, n := range c.nodes {
-		lo, hi := ranges[i].bounds()
+		lo, hi := ranges[i].Bounds()
 		if !(lo < hi) {
 			return nil, fmt.Errorf("cluster: member %s declares empty band [%v, %v)", n.addr, lo, hi)
 		}
@@ -340,67 +346,59 @@ func (c *Cluster) readFrom(ctx context.Context, g *group, call func(ctx context.
 	return fmt.Errorf("cluster: band [%g, %g): %w: all %d replicas failed", g.lo, g.hi, ErrNodeDown, len(g.nodes))
 }
 
+// eachGroup runs read against one replica of every band in parallel,
+// each band through readFrom's failover order. A band whose every
+// replica fails contributes nothing: reads degrade to partial answers
+// rather than failing (see ReadFailovers and Ejected for the
+// operator's view).
+func (c *Cluster) eachGroup(ctx context.Context, read func(ctx context.Context, gi int, n *node) error) {
+	fns := make([]func(), len(c.groups))
+	for gi, g := range c.groups {
+		fns[gi] = func() {
+			_ = c.readFrom(ctx, g, func(ctx context.Context, n *node) error { return read(ctx, gi, n) })
+		}
+	}
+	parallel(fns)
+}
+
 // TopK returns the k highest-scoring points with position in [x1, x2]
 // in descending score order: a scatter to one replica of every band (a
 // position interval can hold qualifying points in any score band) and
 // a k-way heap-merge of the per-band answers — the same merge the
 // local shard router uses, so the combined order is exactly an
-// Index's. A band whose every replica is down contributes nothing
-// (reads degrade to partial answers rather than failing; see
-// ReadFailovers and Ejected for the operator's view).
+// Index's.
 func (c *Cluster) TopK(ctx context.Context, x1, x2 float64, k int) []point.P {
-	if k <= 0 || x1 > x2 || math.IsNaN(x1) || math.IsNaN(x2) {
+	if !(point.Query{X1: x1, X2: x2, K: k}).Valid() {
 		return nil
 	}
 	lists := make([][]point.P, len(c.groups))
-	fns := make([]func(), len(c.groups))
-	for gi, g := range c.groups {
-		gi, g := gi, g
-		fns[gi] = func() {
-			_ = c.readFrom(ctx, g, func(cctx context.Context, n *node) error {
-				res, err := n.topk(cctx, x1, x2, k)
-				if err != nil {
-					return err
-				}
-				lists[gi] = res
-				return nil
-			})
-		}
-	}
-	parallel(fns)
+	c.eachGroup(ctx, func(ctx context.Context, gi int, n *node) (err error) {
+		lists[gi], err = n.topk(ctx, x1, x2, k)
+		return err
+	})
 	sp := obs.StartSpan(ctx, "merge", "")
 	res := merge.TopK(lists, k)
 	sp.End(nil)
 	return res
 }
 
-// Query is one read of a QueryBatch.
-type Query struct {
-	X1, X2 float64
-	K      int
-}
-
 // QueryBatch answers qs as one batch: each band's replica receives the
-// whole (sanitized) query list in a single /v1/batch request, then
-// every query's per-band answers are heap-merged. Answers align
-// positionally with qs and match a loop of TopK calls; invalid queries
-// (k ≤ 0, inverted or NaN bounds) yield nil without touching the
-// network.
-func (c *Cluster) QueryBatch(ctx context.Context, qs []Query) [][]point.P {
+// whole query list in a single /v1/batch request, then every query's
+// per-band answers are heap-merged. Answers align positionally with qs
+// and match a loop of TopK calls; invalid queries (k ≤ 0, inverted or
+// NaN bounds) yield nil without touching the network.
+func (c *Cluster) QueryBatch(ctx context.Context, qs []point.Query) [][]point.P {
 	if len(qs) == 0 {
 		return nil
 	}
 	out := make([][]point.P, len(qs))
 	valid := make([]int, 0, len(qs))
-	wire := make([]wireOp, 0, len(qs))
+	ops := make([]wire.Op, 0, len(qs))
 	for qi, q := range qs {
-		if q.K <= 0 || q.X1 > q.X2 || math.IsNaN(q.X1) || math.IsNaN(q.X2) {
-			continue
+		if q.Valid() {
+			valid = append(valid, qi)
+			ops = append(ops, wire.Query(q))
 		}
-		valid = append(valid, qi)
-		// JSON cannot carry ±Inf; the widest finite bounds select the
-		// same (finite) points.
-		wire = append(wire, wireOp{Op: "query", X1: sanitizeBound(q.X1), X2: sanitizeBound(q.X2), K: q.K})
 	}
 	if len(valid) == 0 {
 		return out
@@ -409,23 +407,16 @@ func (c *Cluster) QueryBatch(ctx context.Context, qs []Query) [][]point.P {
 	for _, qi := range valid {
 		lists[qi] = make([][]point.P, len(c.groups))
 	}
-	fns := make([]func(), len(c.groups))
-	for gi, g := range c.groups {
-		gi, g := gi, g
-		fns[gi] = func() {
-			_ = c.readFrom(ctx, g, func(cctx context.Context, n *node) error {
-				items, err := n.batch(cctx, wire)
-				if err != nil {
-					return err
-				}
-				for j, item := range items {
-					lists[valid[j]][gi] = toPoints(item.Results)
-				}
-				return nil
-			})
+	c.eachGroup(ctx, func(ctx context.Context, gi int, n *node) error {
+		items, err := n.batch(ctx, ops)
+		if err != nil {
+			return err
 		}
-	}
-	parallel(fns)
+		for j, item := range items {
+			lists[valid[j]][gi] = item.Results
+		}
+		return nil
+	})
 	sp := obs.StartSpan(ctx, "merge", "")
 	for _, qi := range valid {
 		out[qi] = merge.TopK(lists[qi], qs[qi].K)
@@ -441,33 +432,15 @@ func (c *Cluster) Count(ctx context.Context, x1, x2 float64) int {
 		return 0
 	}
 	counts := make([]int, len(c.groups))
-	fns := make([]func(), len(c.groups))
-	for gi, g := range c.groups {
-		gi, g := gi, g
-		fns[gi] = func() {
-			_ = c.readFrom(ctx, g, func(cctx context.Context, n *node) error {
-				cnt, err := n.count(cctx, x1, x2)
-				if err != nil {
-					return err
-				}
-				counts[gi] = cnt
-				return nil
-			})
-		}
-	}
-	parallel(fns)
+	c.eachGroup(ctx, func(ctx context.Context, gi int, n *node) (err error) {
+		counts[gi], err = n.count(ctx, x1, x2)
+		return err
+	})
 	total := 0
 	for _, cnt := range counts {
 		total += cnt
 	}
 	return total
-}
-
-// Op is one batched update: an insert of P, or a delete when Delete is
-// set.
-type Op struct {
-	Delete bool
-	P      point.P
 }
 
 // Insert adds p under the Store error contract, routed by score to the
@@ -478,7 +451,7 @@ type Op struct {
 // authoritative). ErrNodeDown when the owning band cannot take the
 // write.
 func (c *Cluster) Insert(ctx context.Context, p point.P) error {
-	return c.ApplyBatch(ctx, []Op{{P: p}})[0]
+	return c.ApplyBatch(ctx, []point.Op{{X: p.X, Score: p.Score}})[0]
 }
 
 // Delete removes p, reporting whether it was present. A delete the
@@ -486,7 +459,7 @@ func (c *Cluster) Insert(ctx context.Context, p point.P) error {
 // Store signature cannot distinguish outage from absence; use
 // ApplyBatch to observe ErrNodeDown explicitly.
 func (c *Cluster) Delete(ctx context.Context, p point.P) bool {
-	return c.ApplyBatch(ctx, []Op{{Delete: true, P: p}})[0] == nil
+	return c.ApplyBatch(ctx, []point.Op{{Delete: true, X: p.X, Score: p.Score}})[0] == nil
 }
 
 // pending is one batch op that passed the gateway-side checks and is
@@ -519,13 +492,13 @@ type pending struct {
 // the gateway never papers over that: the ops report ErrNodeDown and
 // the operator reloads the failed replica (DESIGN.md, failure
 // semantics).
-func (c *Cluster) ApplyBatch(ctx context.Context, ops []Op) []error {
+func (c *Cluster) ApplyBatch(ctx context.Context, ops []point.Op) []error {
 	if len(ops) == 0 {
 		return nil
 	}
 	res := make([]error, len(ops))
 	perGroup := make([][]pending, len(c.groups))
-	perWire := make([][]wireOp, len(c.groups))
+	perWire := make([][]wire.Op, len(c.groups))
 
 	// Gateway-side pass, in batch order under one registry lock:
 	// reject inserts duplicating anything this gateway knows, and
@@ -534,7 +507,8 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []Op) []error {
 	// same order authoritatively).
 	c.dupMu.Lock()
 	for i, op := range ops {
-		if !op.P.Finite() {
+		p := op.Point()
+		if !p.Finite() {
 			if op.Delete {
 				// A non-finite point can never be live (inserts reject
 				// them), so the exact-match answer is known without a
@@ -546,32 +520,32 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []Op) []error {
 			}
 			continue
 		}
-		gi := c.locate(op.P.Score)
+		gi := c.locate(p.Score)
 		if op.Delete {
-			_, hp := c.positions[op.P.X]
+			_, hp := c.positions[p.X]
 			if hp {
-				delete(c.positions, op.P.X)
+				delete(c.positions, p.X)
 			}
-			_, hs := c.scores[op.P.Score]
+			_, hs := c.scores[p.Score]
 			if hs {
-				delete(c.scores, op.P.Score)
+				delete(c.scores, p.Score)
 			}
-			perGroup[gi] = append(perGroup[gi], pending{op: i, p: op.P, hadPos: hp, hadScore: hs})
-			perWire[gi] = append(perWire[gi], wireOp{Op: "delete", X: op.P.X, Score: op.P.Score})
+			perGroup[gi] = append(perGroup[gi], pending{op: i, p: p, hadPos: hp, hadScore: hs})
+			perWire[gi] = append(perWire[gi], wire.Update(op))
 			continue
 		}
-		if _, dup := c.positions[op.P.X]; dup {
+		if _, dup := c.positions[p.X]; dup {
 			res[i] = core.ErrDuplicatePosition
 			continue
 		}
-		if _, dup := c.scores[op.P.Score]; dup {
+		if _, dup := c.scores[p.Score]; dup {
 			res[i] = core.ErrDuplicateScore
 			continue
 		}
-		c.positions[op.P.X] = struct{}{}
-		c.scores[op.P.Score] = struct{}{}
-		perGroup[gi] = append(perGroup[gi], pending{op: i, insert: true, p: op.P})
-		perWire[gi] = append(perWire[gi], wireOp{Op: "insert", X: op.P.X, Score: op.P.Score})
+		c.positions[p.X] = struct{}{}
+		c.scores[p.Score] = struct{}{}
+		perGroup[gi] = append(perGroup[gi], pending{op: i, insert: true, p: p})
+		perWire[gi] = append(perWire[gi], wire.Update(op))
 	}
 	c.dupMu.Unlock()
 
@@ -580,7 +554,6 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []Op) []error {
 		if len(perGroup[gi]) == 0 {
 			continue
 		}
-		gi := gi
 		fns = append(fns, func() { c.applyGroup(ctx, c.groups[gi], perGroup[gi], perWire[gi], res) })
 	}
 	if len(fns) > 0 {
@@ -594,7 +567,7 @@ func (c *Cluster) ApplyBatch(ctx context.Context, ops []Op) []error {
 // ejected replica fails the whole sub-batch up front (writing around a
 // downed replica would silently diverge the group), and any transport
 // failure or cross-replica disagreement reports ErrNodeDown.
-func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, wire []wireOp, res []error) {
+func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, ops []wire.Op, res []error) {
 	fail := func(err error) {
 		c.rollback(pds, res)
 		for _, pd := range pds {
@@ -607,15 +580,14 @@ func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, wire 
 			return
 		}
 	}
-	items := make([][]wireItem, len(g.nodes))
+	items := make([][]wire.Item, len(g.nodes))
 	errs := make([]error, len(g.nodes))
 	fns := make([]func(), len(g.nodes))
 	for ri, n := range g.nodes {
-		ri, n := ri, n
 		fns[ri] = func() {
 			cctx, cancel := c.callCtx(ctx)
 			defer cancel()
-			items[ri], errs[ri] = n.batch(cctx, wire)
+			items[ri], errs[ri] = n.batch(cctx, ops)
 			if errs[ri] != nil && errors.Is(errs[ri], ErrNodeDown) {
 				c.markFailed(n)
 			} else {
@@ -653,7 +625,7 @@ func (c *Cluster) applyGroup(ctx context.Context, g *group, pds []pending, wire 
 			continue
 		}
 		if item.Error != nil {
-			res[pd.op] = errFromCode(item.Error.Code, item.Error.Message)
+			res[pd.op] = item.Error.AsError()
 		} else {
 			res[pd.op] = fmt.Errorf("cluster: band [%g, %g): op %d rejected without a code", g.lo, g.hi, pd.op)
 		}
@@ -697,60 +669,18 @@ type Stats struct {
 	Reads, Writes, BlocksLive, BlocksPeak int64
 }
 
-// Stats sums the I/O meters of every reachable member. Unreachable
-// members are marked for the health accounting and contribute nothing
-// — an aggregate over a degraded fleet undercounts rather than blocks.
-func (c *Cluster) Stats(ctx context.Context) Stats {
-	per := make([]statsResp, len(c.nodes))
-	ok := make([]bool, len(c.nodes))
+// eachNode runs call against every member in parallel, each under
+// its own request deadline, and feeds every outcome into the health
+// accounting: the best-effort fan-out of the aggregate and
+// administrative operations, where an unreachable member is skipped
+// rather than blocking the rest.
+func (c *Cluster) eachNode(ctx context.Context, call func(ctx context.Context, i int, n *node) error) {
 	fns := make([]func(), len(c.nodes))
 	for i, n := range c.nodes {
-		i, n := i, n
 		fns[i] = func() {
 			cctx, cancel := c.callCtx(ctx)
 			defer cancel()
-			s, err := n.stats(cctx)
-			if err != nil {
-				c.markFailed(n)
-				return
-			}
-			c.markUp(n)
-			per[i], ok[i] = s, true
-		}
-	}
-	parallel(fns)
-	var out Stats
-	for i := range per {
-		if !ok[i] {
-			continue
-		}
-		out.Reads += per[i].Reads
-		out.Writes += per[i].Writes
-		out.BlocksLive += per[i].BlocksLive
-		out.BlocksPeak += per[i].BlocksPeak
-	}
-	return out
-}
-
-// ResetStats zeroes every reachable member's counters (best-effort).
-func (c *Cluster) ResetStats(ctx context.Context) {
-	c.adminFanOut(ctx, (*node).resetStats)
-}
-
-// DropCache evicts every reachable member's buffer pools (best-effort).
-func (c *Cluster) DropCache(ctx context.Context) {
-	c.adminFanOut(ctx, (*node).dropCache)
-}
-
-func (c *Cluster) adminFanOut(ctx context.Context, call func(*node, context.Context) error) {
-	fns := make([]func(), len(c.nodes))
-	for i, n := range c.nodes {
-		i, n := i, n
-		_ = i
-		fns[i] = func() {
-			cctx, cancel := c.callCtx(ctx)
-			defer cancel()
-			if err := call(n, cctx); err != nil {
+			if err := call(cctx, i, n); err != nil {
 				c.markFailed(n)
 			} else {
 				c.markUp(n)
@@ -760,33 +690,55 @@ func (c *Cluster) adminFanOut(ctx context.Context, call func(*node, context.Cont
 	parallel(fns)
 }
 
+// Stats sums the I/O meters of every reachable member. Unreachable
+// members contribute nothing — an aggregate over a degraded fleet
+// undercounts rather than blocks.
+func (c *Cluster) Stats(ctx context.Context) Stats {
+	per := make([]wire.Stats, len(c.nodes))
+	c.eachNode(ctx, func(ctx context.Context, i int, n *node) error {
+		s, err := n.stats(ctx)
+		if err == nil {
+			per[i] = s
+		}
+		return err
+	})
+	var out Stats
+	for _, s := range per {
+		out.Reads += s.Reads
+		out.Writes += s.Writes
+		out.BlocksLive += s.BlocksLive
+		out.BlocksPeak += s.BlocksPeak
+	}
+	return out
+}
+
+// ResetStats zeroes every reachable member's counters (best-effort).
+func (c *Cluster) ResetStats(ctx context.Context) {
+	c.eachNode(ctx, func(ctx context.Context, _ int, n *node) error { return n.resetStats(ctx) })
+}
+
+// DropCache evicts every reachable member's buffer pools (best-effort).
+func (c *Cluster) DropCache(ctx context.Context) {
+	c.eachNode(ctx, func(ctx context.Context, _ int, n *node) error { return n.dropCache(ctx) })
+}
+
 // RPCDurations returns the per-member RPC latency histograms — every
 // member request this client issued, keyed by member address.
 func (c *Cluster) RPCDurations() *obs.Vec { return c.rpc }
 
 // ScrapeMetrics fetches every member's raw /v1/metrics page in
 // parallel — the federation leg of the gateway's /v1/metrics/fleet.
-// Unreachable members are skipped (and fed into the same ejection
-// accounting as any failed request); the second return is the total
+// Unreachable members are skipped; the second return is the total
 // member count so the caller can report fleet coverage.
 func (c *Cluster) ScrapeMetrics(ctx context.Context) ([]obs.MetricsPage, int) {
 	pages := make([]*obs.MetricsPage, len(c.nodes))
-	fns := make([]func(), len(c.nodes))
-	for i, n := range c.nodes {
-		i, n := i, n
-		fns[i] = func() {
-			cctx, cancel := c.callCtx(ctx)
-			defer cancel()
-			body, err := n.getRaw(cctx, "/v1/metrics")
-			if err != nil {
-				c.markFailed(n)
-				return
-			}
-			c.markUp(n)
+	c.eachNode(ctx, func(ctx context.Context, i int, n *node) error {
+		body, err := n.getRaw(ctx, "/v1/metrics")
+		if err == nil {
 			pages[i] = &obs.MetricsPage{Node: n.addr, Body: body}
 		}
-	}
-	parallel(fns)
+		return err
+	})
 	out := make([]obs.MetricsPage, 0, len(pages))
 	for _, p := range pages {
 		if p != nil {

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/em"
+	"repro/internal/point"
 	"repro/internal/workload"
 )
 
@@ -30,11 +31,11 @@ func TestQueryAllocs(t *testing.T) {
 	}, g.Uniform(4096, xMax))
 	// Widths of 0.05–2% of the 1e6 domain, placed inside the shard.
 	rng := rand.New(rand.NewSource(2))
-	qs := make([]workload.QuerySpec, 200)
+	qs := make([]point.Query, 200)
 	for i := range qs {
 		w := (0.0005 + 0.0195*rng.Float64()) * 1e6
 		x1 := rng.Float64() * (xMax - w)
-		qs[i] = workload.QuerySpec{X1: x1, X2: x1 + w, K: 1 + rng.Intn(64)}
+		qs[i] = point.Query{X1: x1, X2: x1 + w, K: 1 + rng.Intn(64)}
 	}
 	for _, q := range qs {
 		ix.Query(q.X1, q.X2, q.K)

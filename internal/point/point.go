@@ -1,5 +1,8 @@
-// Package point defines the element type shared by every structure in
-// the repository: a one-dimensional point with a real-valued score.
+// Package point defines the vocabulary shared by every tier of the
+// repository, from the core structures to the /v1 wire: a
+// one-dimensional point with a real-valued score (P), a top-k range
+// query (Query) and an update (Op). Each is declared once, here; the
+// public topk names are aliases of these types.
 //
 // Following the paper (§2), a top-k query has a natural geometric
 // interpretation: map each element e to the planar point (e, score(e));
@@ -15,11 +18,34 @@ import (
 	"slices"
 )
 
-// P is an input element: position X with score Score.
+// P is an input element: position X with score Score. The JSON tags
+// are the /v1 wire form of a point.
 type P struct {
-	X     float64
-	Score float64
+	X     float64 `json:"x"`
+	Score float64 `json:"score"`
 }
+
+// Query asks for the K highest-scoring points with position in
+// [X1, X2].
+type Query struct {
+	X1, X2 float64
+	K      int
+}
+
+// Valid reports whether q can match anything: K > 0 and X1 ≤ X2. The
+// comparison is false when either bound is NaN, so NaN bounds are
+// invalid too — every tier answers an invalid query with nothing.
+func (q Query) Valid() bool { return q.K > 0 && q.X1 <= q.X2 }
+
+// Op is one update: an insert of (X, Score), or a delete when Delete
+// is set.
+type Op struct {
+	Delete   bool
+	X, Score float64
+}
+
+// Point returns the point op inserts or deletes.
+func (op Op) Point() P { return P{X: op.X, Score: op.Score} }
 
 // Finite reports whether both coordinates are real numbers (no NaN,
 // no ±Inf). The paper's input is a set of reals; non-finite values

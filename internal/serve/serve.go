@@ -10,18 +10,19 @@
 // optional interfaces, all in one place (collect) that both /v1/stats
 // and /v1/metrics render. Every route lives under /v1.
 //
-// Errors are structured: {"error":{"code":"duplicate_position",
-// "message":"..."}} with the code derived from the topk sentinel
-// errors (duplicate_position and duplicate_score map to 409,
-// invalid_point and malformed requests to 400, out-of-band member
-// inserts to 400 out_of_range).
+// Responses are internal/wire's structs, the same ones the cluster
+// client decodes. Errors are structured: {"error":{"code":
+// "duplicate_position","message":"..."}}, with a store error's code and
+// status taken from wire's sentinel table (duplicate_position and
+// duplicate_score map to 409, invalid_point to 400, node_down to 503),
+// malformed requests a 400 bad_request, and out-of-band member inserts
+// a 400 out_of_range.
 package serve
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"log"
 	"log/slog"
@@ -35,6 +36,7 @@ import (
 	topk "repro"
 	"repro/internal/ingest"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // Options configures the handler tree beyond the Store itself.
@@ -81,47 +83,6 @@ func (o Options) inBand(score float64) bool {
 	return o.Lo <= score && score < o.Hi
 }
 
-// pointReq is the body of /v1/insert and /v1/delete.
-type pointReq struct {
-	X     float64 `json:"x"`
-	Score float64 `json:"score"`
-}
-
-// resultJSON mirrors topk.Result with lowercase keys.
-type resultJSON struct {
-	X     float64 `json:"x"`
-	Score float64 `json:"score"`
-}
-
-func toJSON(res []topk.Result) []resultJSON {
-	out := make([]resultJSON, len(res))
-	for i, p := range res {
-		out[i] = resultJSON{X: p.X, Score: p.Score}
-	}
-	return out
-}
-
-// batchOp is one element of a /v1/batch request: op is "insert",
-// "delete" (x, score) or "query" (x1, x2, k, optional offset).
-type batchOp struct {
-	Op     string  `json:"op"`
-	X      float64 `json:"x"`
-	Score  float64 `json:"score"`
-	X1     float64 `json:"x1"`
-	X2     float64 `json:"x2"`
-	K      int     `json:"k"`
-	Offset int     `json:"offset"`
-}
-
-// batchItem is one element of a /v1/batch response, aligned with the
-// request ops. Updates carry ok (+error when rejected); queries carry
-// their results.
-type batchItem struct {
-	OK      bool         `json:"ok"`
-	Error   *errJSON     `json:"error,omitempty"`
-	Results []resultJSON `json:"results,omitempty"`
-}
-
 // asyncWriter is the submit surface of a group-commit store
 // (topk.Batched): enqueue a write, get a pollable outcome future.
 type asyncWriter interface {
@@ -159,7 +120,7 @@ func New(st topk.Store, opt Options) http.Handler {
 	}
 
 	handle("POST", "/insert", func(w http.ResponseWriter, r *http.Request) {
-		var req pointReq
+		var req topk.Result
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, "bad_request", "bad json: %v", err)
 			return
@@ -178,8 +139,7 @@ func New(st topk.Store, opt Options) http.Handler {
 				defer t.TimeOpCtx(r.Context(), "insert")()
 				return aw.SubmitInsert(req.X, req.Score)
 			}()
-			writeJSONStatus(w, http.StatusAccepted,
-				map[string]any{"accepted": true, "outcome": outcomes.add(f)}, t.Log)
+			writeJSONStatus(w, http.StatusAccepted, wire.Accepted{Accepted: true, Outcome: outcomes.add(f)}, t.Log)
 			return
 		}
 		// Insert is atomic check-and-insert under the shard lock, so
@@ -191,11 +151,11 @@ func New(st topk.Store, opt Options) http.Handler {
 			writeErr(w, err)
 			return
 		}
-		writeJSON(w, map[string]any{"ok": true, "n": st.Len()})
+		writeJSON(w, wire.Inserted{N: st.Len(), OK: true})
 	})
 
 	handle("POST", "/delete", func(w http.ResponseWriter, r *http.Request) {
-		var req pointReq
+		var req topk.Result
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, "bad_request", "bad json: %v", err)
 			return
@@ -205,19 +165,16 @@ func New(st topk.Store, opt Options) http.Handler {
 				defer t.TimeOpCtx(r.Context(), "delete")()
 				return aw.SubmitDelete(req.X, req.Score)
 			}()
-			writeJSONStatus(w, http.StatusAccepted,
-				map[string]any{"accepted": true, "outcome": outcomes.add(f)}, t.Log)
+			writeJSONStatus(w, http.StatusAccepted, wire.Accepted{Accepted: true, Outcome: outcomes.add(f)}, t.Log)
 			return
 		}
 		st := bindStore(st, r)
 		found := func() bool { defer t.TimeOpCtx(r.Context(), "delete")(); return st.Delete(req.X, req.Score) }()
-		writeJSON(w, map[string]any{"found": found, "n": st.Len()})
+		writeJSON(w, wire.Deleted{Found: found, N: st.Len()})
 	})
 
 	handle("POST", "/batch", func(w http.ResponseWriter, r *http.Request) {
-		var req struct {
-			Ops []batchOp `json:"ops"`
-		}
+		var req wire.BatchReq
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 			httpError(w, http.StatusBadRequest, "bad_request", "bad json: %v", err)
 			return
@@ -227,7 +184,7 @@ func New(st topk.Store, opt Options) http.Handler {
 			httpError(w, http.StatusBadRequest, "bad_request", "%v", err)
 			return
 		}
-		writeJSON(w, map[string]any{"results": items, "n": st.Len()})
+		writeJSON(w, wire.BatchResp{N: st.Len(), Results: items})
 	})
 
 	handle("GET", "/topk", func(w http.ResponseWriter, r *http.Request) {
@@ -258,9 +215,9 @@ func New(st topk.Store, opt Options) http.Handler {
 		if off < len(res) {
 			res = res[off:]
 		} else {
-			res = nil
+			res = []topk.Result{} // a no-hit page is [], not null
 		}
-		writeJSON(w, map[string]any{"results": toJSON(res), "offset": off})
+		writeJSON(w, wire.TopK{Offset: off, Results: res})
 	})
 
 	handle("GET", "/count", func(w http.ResponseWriter, r *http.Request) {
@@ -272,37 +229,35 @@ func New(st topk.Store, opt Options) http.Handler {
 		}
 		st := bindStore(st, r)
 		n := func() int { defer t.TimeOpCtx(r.Context(), "count")(); return st.Count(x1, x2) }()
-		writeJSON(w, map[string]any{"count": n})
+		writeJSON(w, wire.Count{Count: n})
 	})
 
-	// The topology epoch as a cheap change signal: gateways and caches
-	// poll it (or a Sharded owner watches WatchEpoch in-process) to
-	// detect member topology changes without paying for /v1/stats. The
-	// cluster health checker also uses it as its liveness probe.
-	// Backends without a topology epoch report 0 — the
-	// endpoint stays probeable on every backend.
+	// The topology epoch: a cheap signal that the member's topology
+	// changed, without paying for /v1/stats, and the cluster health
+	// checker's liveness probe. Backends without a topology epoch
+	// report 0 — the endpoint stays probeable on every backend.
 	handle("GET", "/epoch", func(w http.ResponseWriter, r *http.Request) {
 		var e int64
 		if ep, ok := probe[interface{ Epoch() int64 }](st); ok {
 			e = ep.Epoch()
 		}
-		writeJSON(w, map[string]any{"epoch": e})
+		writeJSON(w, wire.Epoch{Epoch: e})
 	})
 
 	// The member's score band, for gateway discovery. Open ends are
 	// null (JSON cannot carry ±Inf); an unbanded process reports both
 	// ends open.
 	handle("GET", "/range", func(w http.ResponseWriter, r *http.Request) {
-		var lo, hi *float64
+		out := wire.Range{N: st.Len()}
 		if opt.banded() {
 			if !math.IsInf(opt.Lo, -1) {
-				lo = &opt.Lo
+				out.Lo = &opt.Lo
 			}
 			if !math.IsInf(opt.Hi, 1) {
-				hi = &opt.Hi
+				out.Hi = &opt.Hi
 			}
 		}
-		writeJSON(w, map[string]any{"lo": lo, "hi": hi, "n": st.Len()})
+		writeJSON(w, out)
 	})
 
 	// A finished trace's span tree, by ID. The ID comes out of the
@@ -346,14 +301,16 @@ func New(st topk.Store, opt Options) http.Handler {
 			return
 		}
 		if !f.Ready() {
-			writeJSON(w, map[string]any{"done": false})
+			writeJSON(w, wire.Outcome{})
 			return
 		}
-		if err := f.Err(); err != nil {
-			writeJSON(w, map[string]any{"done": true, "ok": false, "error": toErrJSON(err)})
-			return
+		err := f.Err()
+		applied := err == nil
+		out := wire.Outcome{Done: true, OK: &applied}
+		if !applied {
+			_, out.Error = wire.Code(err)
 		}
-		writeJSON(w, map[string]any{"done": true, "ok": true})
+		writeJSON(w, out)
 	})
 
 	// Administrative twins of Store.ResetStats/DropCache, so remote
@@ -361,11 +318,11 @@ func New(st topk.Store, opt Options) http.Handler {
 	// Store contract over the wire) can reach them.
 	handle("POST", "/stats/reset", func(w http.ResponseWriter, r *http.Request) {
 		st.ResetStats()
-		writeJSON(w, map[string]any{"ok": true})
+		writeJSON(w, wire.OK{OK: true})
 	})
 	handle("POST", "/cache/drop", func(w http.ResponseWriter, r *http.Request) {
 		st.DropCache()
-		writeJSON(w, map[string]any{"ok": true})
+		writeJSON(w, wire.OK{OK: true})
 	})
 
 	// Prometheus text-format metrics, the machine-scrapable twin of the
@@ -734,18 +691,18 @@ func bindStore(st topk.Store, r *http.Request) topk.Store {
 // offset highest-scoring qualifying points, the fetch is clamped to
 // min(n, offset+k), and a negative offset is a structured 400 for the
 // whole batch (like an unknown op — the request itself is malformed).
-func runBatch(ctx context.Context, st topk.Store, opt Options, t *obs.Telemetry, ops []batchOp) ([]batchItem, error) {
+func runBatch(ctx context.Context, st topk.Store, opt Options, t *obs.Telemetry, ops []wire.Op) ([]wire.Item, error) {
 	updates := make([]topk.BatchOp, 0, len(ops))
 	updateAt := make([]int, 0, len(ops))
 	queries := make([]topk.Query, 0)
 	queryAt := make([]int, 0)
 	queryOff := make([]int, 0)
-	bandErr := make(map[int]*errJSON)
+	bandErr := make(map[int]*wire.Err)
 	for i, op := range ops {
 		switch op.Op {
 		case "insert":
 			if !opt.inBand(op.Score) {
-				bandErr[i] = &errJSON{Code: "out_of_range",
+				bandErr[i] = &wire.Err{Code: "out_of_range",
 					Message: fmt.Sprintf("score %v outside this member's band [%v, %v)", op.Score, opt.Lo, opt.Hi)}
 				continue
 			}
@@ -765,9 +722,9 @@ func runBatch(ctx context.Context, st topk.Store, opt Options, t *obs.Telemetry,
 			return nil, fmt.Errorf("op %d: unknown op %q (want insert, delete or query)", i, op.Op)
 		}
 	}
-	items := make([]batchItem, len(ops))
+	items := make([]wire.Item, len(ops))
 	for i, e := range bandErr {
-		items[i] = batchItem{Error: e}
+		items[i] = wire.Item{Error: e}
 	}
 	applied := func() []error {
 		if len(updates) == 0 {
@@ -778,9 +735,9 @@ func runBatch(ctx context.Context, st topk.Store, opt Options, t *obs.Telemetry,
 	}()
 	for j, err := range applied {
 		if err != nil {
-			items[updateAt[j]] = batchItem{Error: toErrJSON(err)}
+			_, items[updateAt[j]].Error = wire.Code(err)
 		} else {
-			items[updateAt[j]] = batchItem{OK: true}
+			items[updateAt[j]].OK = true
 		}
 	}
 	// Clamp only now: the batch's own inserts may have grown the live
@@ -802,7 +759,7 @@ func runBatch(ctx context.Context, st topk.Store, opt Options, t *obs.Telemetry,
 		} else {
 			res = nil
 		}
-		items[queryAt[j]] = batchItem{OK: true, Results: toJSON(res)}
+		items[queryAt[j]] = wire.Item{OK: true, Results: res}
 	}
 	return items, nil
 }
@@ -903,48 +860,14 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any, log *slog.Logger)
 	}
 }
 
-// errJSON is the structured error body: {"error":{"code":..,"message":..}}.
-type errJSON struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-// errCode maps a topk sentinel error to an HTTP status and a stable
-// machine-readable code.
-func errCode(err error) (int, string) {
-	switch {
-	case errors.Is(err, topk.ErrDuplicatePosition):
-		return http.StatusConflict, "duplicate_position"
-	case errors.Is(err, topk.ErrDuplicateScore):
-		return http.StatusConflict, "duplicate_score"
-	case errors.Is(err, topk.ErrInvalidPoint):
-		return http.StatusBadRequest, "invalid_point"
-	case errors.Is(err, topk.ErrNotFound):
-		return http.StatusNotFound, "not_found"
-	case errors.Is(err, topk.ErrNodeDown):
-		// A gateway whose member fleet cannot take the write reports
-		// the outage instead of masking it as an internal error.
-		return http.StatusServiceUnavailable, "node_down"
-	default:
-		return http.StatusInternalServerError, "internal"
-	}
-}
-
-func toErrJSON(err error) *errJSON {
-	_, code := errCode(err)
-	return &errJSON{Code: code, Message: err.Error()}
-}
-
 // writeErr renders a store error with its mapped status and code.
 func writeErr(w http.ResponseWriter, err error) {
-	status, code := errCode(err)
-	httpError(w, status, code, "%v", err)
+	status, e := wire.Code(err)
+	httpError(w, status, e.Code, "%s", e.Message)
 }
 
 func httpError(w http.ResponseWriter, status int, code, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]any{
-		"error": errJSON{Code: code, Message: fmt.Sprintf(format, args...)},
-	})
+	_ = json.NewEncoder(w).Encode(wire.ErrBody{Error: wire.Err{Code: code, Message: fmt.Sprintf(format, args...)}})
 }

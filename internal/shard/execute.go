@@ -83,10 +83,9 @@ func (r *Router) fanOutTopo(t *topology, lo, hi int, setup func(count int), per 
 // underlying Index.Query (TestRouterTopKAddsNoAllocs holds it there).
 func (r *Router) TopK(x1, x2 float64, k int) []point.P {
 	// NaN bounds match nothing; they must be rejected here because they
-	// also defeat the x1 > x2 guard and the locate binary search (every
-	// comparison with NaN is false), which would cross the fan-out's
-	// shard range.
-	if k <= 0 || x1 > x2 || math.IsNaN(x1) || math.IsNaN(x2) {
+	// also defeat the locate binary search (every comparison with NaN
+	// is false), which would cross the fan-out's shard range.
+	if !(point.Query{X1: x1, X2: x2, K: k}).Valid() {
 		return nil
 	}
 	t := r.snapshot()
@@ -132,13 +131,6 @@ func (r *Router) Count(x1, x2 float64) int {
 	return total
 }
 
-// Query is one read of a QueryBatch: the k highest-scoring points
-// with position in [X1, X2].
-type Query struct {
-	X1, X2 float64
-	K      int
-}
-
 // QueryBatch answers qs as one batch over a SINGLE pinned snapshot,
 // amortizing the snapshot pin and goroutine setup that a loop of TopK
 // calls would pay per query. Work is grouped by shard — each shard's
@@ -147,7 +139,7 @@ type Query struct {
 // parallel. Answers are positionally aligned with qs and
 // byte-identical to calling TopK once per query on the same topology;
 // invalid queries (k ≤ 0, inverted or NaN bounds) yield nil.
-func (r *Router) QueryBatch(qs []Query) [][]point.P {
+func (r *Router) QueryBatch(qs []point.Query) [][]point.P {
 	if len(qs) == 0 {
 		return nil
 	}
@@ -157,7 +149,7 @@ func (r *Router) QueryBatch(qs []Query) [][]point.P {
 	tasks := make([][]task, len(t.shards))
 	lists := make([][][]point.P, len(qs))
 	for qi, q := range qs {
-		if q.K <= 0 || q.X1 > q.X2 || math.IsNaN(q.X1) || math.IsNaN(q.X2) {
+		if !q.Valid() {
 			continue
 		}
 		lo, hi := t.locate(q.X1), t.locate(q.X2)

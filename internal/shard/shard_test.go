@@ -28,7 +28,7 @@ func testOptions(maxShards int) Options {
 
 // checkQueries compares the router against the brute-force oracle on
 // the given queries, requiring exactly equal (ordered) answers.
-func checkQueries(t *testing.T, r *Router, all []point.P, qs []workload.QuerySpec) {
+func checkQueries(t *testing.T, r *Router, all []point.P, qs []point.Query) {
 	t.Helper()
 	for _, q := range qs {
 		got := r.TopK(q.X1, q.X2, q.K)
@@ -46,18 +46,18 @@ func checkQueries(t *testing.T, r *Router, all []point.P, qs []workload.QuerySpe
 }
 
 // straddlers builds queries guaranteed to cross every cut position.
-func straddlers(r *Router, xMax float64, maxK int, rng *rand.Rand) []workload.QuerySpec {
-	var qs []workload.QuerySpec
+func straddlers(r *Router, xMax float64, maxK int, rng *rand.Rand) []point.Query {
+	var qs []point.Query
 	for _, cut := range r.Boundaries() {
 		w := rng.Float64() * xMax / 4
 		qs = append(qs,
-			workload.QuerySpec{X1: cut - w, X2: cut + w, K: rng.Intn(maxK) + 1},
-			workload.QuerySpec{X1: cut, X2: cut + w, K: rng.Intn(maxK) + 1},
-			workload.QuerySpec{X1: cut - w, X2: cut, K: rng.Intn(maxK) + 1},
+			point.Query{X1: cut - w, X2: cut + w, K: rng.Intn(maxK) + 1},
+			point.Query{X1: cut, X2: cut + w, K: rng.Intn(maxK) + 1},
+			point.Query{X1: cut - w, X2: cut, K: rng.Intn(maxK) + 1},
 		)
 	}
 	// One query spanning every shard at once.
-	qs = append(qs, workload.QuerySpec{X1: math.Inf(-1), X2: math.Inf(1), K: maxK})
+	qs = append(qs, point.Query{X1: math.Inf(-1), X2: math.Inf(1), K: maxK})
 	return qs
 }
 
@@ -183,12 +183,12 @@ func TestApplyBatchMatchesSequential(t *testing.T) {
 	seq := append([]point.P(nil), base...)
 
 	updates := gen.Mix(1500, 1000, 0.4, 1e6)
-	ops := make([]Op, len(updates))
+	ops := make([]point.Op, len(updates))
 	for i, u := range updates {
 		if u.Delete != nil {
-			ops[i] = Op{Delete: true, P: *u.Delete}
+			ops[i] = point.Op{Delete: true, X: u.Delete.X, Score: u.Delete.Score}
 		} else {
-			ops[i] = Op{P: *u.Insert}
+			ops[i] = point.Op{X: u.Insert.X, Score: u.Insert.Score}
 		}
 	}
 	res := r.ApplyBatch(ops)
@@ -239,12 +239,12 @@ func TestConcurrentBatchesAndQueries(t *testing.T) {
 			gen := workload.NewGen(int64(100 + w))
 			lo := float64(w) * 1e6 / writers
 			for round := 0; round < 6; round++ {
-				var ops []Op
+				var ops []point.Op
 				for _, p := range gen.Uniform(40, 1e6/writers) {
-					ops = append(ops, Op{P: point.P{
+					ops = append(ops, point.Op{
 						X:     lo + p.X,
 						Score: float64(w) + p.Score/2, // bands: [w, w+0.5)
-					}})
+					})
 				}
 				res := r.ApplyBatch(ops)
 				for i := range res {
@@ -254,10 +254,10 @@ func TestConcurrentBatchesAndQueries(t *testing.T) {
 					}
 				}
 				// Delete half of what this writer just inserted.
-				var dels []Op
+				var dels []point.Op
 				for i, op := range ops {
 					if i%2 == 0 {
-						dels = append(dels, Op{Delete: true, P: op.P})
+						dels = append(dels, point.Op{Delete: true, X: op.X, Score: op.Score})
 					}
 				}
 				res = r.ApplyBatch(dels)
@@ -432,12 +432,12 @@ func TestContractViolationsReturnErrors(t *testing.T) {
 	}
 	// The same rejections through the batch path, alongside an op that
 	// succeeds.
-	res := r.ApplyBatch([]Op{
-		{P: point.P{X: dup.X, Score: 654321}},
-		{P: point.P{X: 8e9, Score: dup.Score}},
-		{P: point.P{X: math.Inf(-1), Score: 2}},
-		{Delete: true, P: point.P{X: -4242, Score: 4242}},
-		{P: point.P{X: -3, Score: -3}},
+	res := r.ApplyBatch([]point.Op{
+		{X: dup.X, Score: 654321},
+		{X: 8e9, Score: dup.Score},
+		{X: math.Inf(-1), Score: 2},
+		{Delete: true, X: -4242, Score: 4242},
+		{X: -3, Score: -3},
 	})
 	want := []error{core.ErrDuplicatePosition, core.ErrDuplicateScore, core.ErrInvalidPoint, core.ErrNotFound, nil}
 	for i, err := range res {
@@ -466,7 +466,7 @@ func TestContractViolationsReturnErrors(t *testing.T) {
 		if !r.Delete(point.P{X: -1, Score: -1}) {
 			t.Error("Delete after rejections")
 		}
-		res := r.ApplyBatch([]Op{{P: point.P{X: -2, Score: -2}}})
+		res := r.ApplyBatch([]point.Op{{X: -2, Score: -2}})
 		if len(res) != 1 || res[0] != nil {
 			t.Errorf("ApplyBatch after rejections: %v", res)
 		}
@@ -497,14 +497,14 @@ func TestQueryBatchMatchesTopK(t *testing.T) {
 	rng := rand.New(rand.NewSource(28))
 	specs := gen.Queries(60, 1e6, 0.001, 0.8, 200)
 	specs = append(specs, straddlers(r, 1e6, 200, rng)...)
-	qs := make([]Query, 0, len(specs)+3)
+	qs := make([]point.Query, 0, len(specs)+3)
 	for _, q := range specs {
-		qs = append(qs, Query{X1: q.X1, X2: q.X2, K: q.K})
+		qs = append(qs, point.Query{X1: q.X1, X2: q.X2, K: q.K})
 	}
 	qs = append(qs,
-		Query{X1: 10, X2: 5, K: 3},
-		Query{X1: 0, X2: 1e6, K: 0},
-		Query{X1: math.NaN(), X2: 1, K: 3},
+		point.Query{X1: 10, X2: 5, K: 3},
+		point.Query{X1: 0, X2: 1e6, K: 0},
+		point.Query{X1: math.NaN(), X2: 1, K: 3},
 	)
 	got := r.QueryBatch(qs)
 	if len(got) != len(qs) {
@@ -784,10 +784,10 @@ func TestChurnLifecycle(t *testing.T) {
 
 	// Phase 3: mixed batches, deletes first so scores can recycle.
 	for round := 0; round < 4; round++ {
-		var dels []Op
+		var dels []point.Op
 		for i := 0; i < 100 && len(live) > 0; i++ {
 			j := rng.Intn(len(live))
-			dels = append(dels, Op{Delete: true, P: live[j]})
+			dels = append(dels, point.Op{Delete: true, X: live[j].X, Score: live[j].Score})
 			live[j] = live[len(live)-1]
 			live = live[:len(live)-1]
 		}
@@ -796,9 +796,9 @@ func TestChurnLifecycle(t *testing.T) {
 				t.Fatalf("batch delete %d: %v", i, err)
 			}
 		}
-		var ins []Op
+		var ins []point.Op
 		for _, p := range gen.Uniform(150, 1e6) {
-			ins = append(ins, Op{P: p})
+			ins = append(ins, point.Op{X: p.X, Score: p.Score})
 			live = append(live, p)
 		}
 		for i, err := range r.ApplyBatch(ins) {

@@ -163,21 +163,16 @@ func (g *Gen) Events(n int) ([]Event, []point.P) {
 	return es, pts
 }
 
-// QuerySpec is a random query drawn against a workload's x-domain.
-type QuerySpec struct {
-	X1, X2 float64
-	K      int
-}
-
-// Queries returns cnt random queries with selectivity in
-// [minSel, maxSel] (fraction of the x-domain) and k in [1, maxK].
-func (g *Gen) Queries(cnt int, xMax, minSel, maxSel float64, maxK int) []QuerySpec {
-	out := make([]QuerySpec, cnt)
+// Queries returns cnt random queries over the x-domain [0, xMax) with
+// selectivity in [minSel, maxSel] (fraction of the x-domain) and k in
+// [1, maxK].
+func (g *Gen) Queries(cnt int, xMax, minSel, maxSel float64, maxK int) []point.Query {
+	out := make([]point.Query, cnt)
 	for i := range out {
 		sel := minSel + g.rng.Float64()*(maxSel-minSel)
 		w := sel * xMax
 		x1 := g.rng.Float64() * (xMax - w)
-		out[i] = QuerySpec{X1: x1, X2: x1 + w, K: g.rng.Intn(maxK) + 1}
+		out[i] = point.Query{X1: x1, X2: x1 + w, K: g.rng.Intn(maxK) + 1}
 	}
 	return out
 }

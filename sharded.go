@@ -1,7 +1,6 @@
 package topk
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/em"
@@ -102,11 +101,7 @@ func LoadSharded(cfg ShardedConfig, pts []Result) (*Sharded, error) {
 	if err := validatePoints(pts); err != nil {
 		return nil, err
 	}
-	ps := make([]point.P, len(pts))
-	for i, r := range pts {
-		ps[i] = point.P{X: r.X, Score: r.Score}
-	}
-	return &Sharded{r: shard.Bulk(opt, ps, opt.MaxShards)}, nil
+	return &Sharded{r: shard.Bulk(opt, pts, opt.MaxShards)}, nil
 }
 
 // Len returns the number of points currently stored.
@@ -150,21 +145,7 @@ func (s *Sharded) TopK(x1, x2 float64, k int) []Result {
 // amortizing the per-shard lock acquisitions and goroutine setup a
 // loop of TopK calls would pay per query. Answers align positionally
 // with qs and are byte-identical to sequential TopK calls.
-func (s *Sharded) QueryBatch(qs []Query) [][]Result {
-	if len(qs) == 0 {
-		return nil
-	}
-	sqs := make([]shard.Query, len(qs))
-	for i, q := range qs {
-		sqs[i] = shard.Query{X1: q.X1, X2: q.X2, K: q.K}
-	}
-	lists := s.r.QueryBatch(sqs)
-	out := make([][]Result, len(lists))
-	for i, l := range lists {
-		out[i] = toResults(l)
-	}
-	return out
-}
+func (s *Sharded) QueryBatch(qs []Query) [][]Result { return s.r.QueryBatch(qs) }
 
 // Count returns the number of stored points with position in [x1, x2].
 func (s *Sharded) Count(x1, x2 float64) int { return s.r.Count(x1, x2) }
@@ -179,13 +160,7 @@ func (s *Sharded) Count(x1, x2 float64) int { return s.r.Count(x1, x2) }
 // deletes in their own batch first. Returns one error per op under
 // the Store contract (nil = applied, ErrNotFound for absent deletes,
 // Insert sentinels for rejected inserts).
-func (s *Sharded) ApplyBatch(ops []BatchOp) []error {
-	sops := make([]shard.Op, len(ops))
-	for i, op := range ops {
-		sops[i] = shard.Op{Delete: op.Delete, P: point.P{X: op.X, Score: op.Score}}
-	}
-	return s.r.ApplyBatch(sops)
-}
+func (s *Sharded) ApplyBatch(ops []BatchOp) []error { return s.r.ApplyBatch(ops) }
 
 // Rebalance re-partitions into up to target equal quantile shards,
 // preserving contents exactly. Inserts rebalance automatically via
@@ -208,18 +183,9 @@ func (s *Sharded) Close() error { return s.r.Close() }
 // Epoch returns the current topology epoch. It increments every time
 // a new topology snapshot is published (splits, merges, rebalances,
 // stats resets), so operators can watch lifecycle activity cheaply;
-// cmd/topkd exports it under /v1/metrics and GET /v1/epoch.
+// cmd/topkd exports it under /v1/metrics and GET /v1/epoch, where the
+// cluster health checker also uses it as its liveness probe.
 func (s *Sharded) Epoch() int64 { return s.r.Epoch() }
-
-// WatchEpoch returns a channel that delivers the topology epoch: the
-// current value immediately, then the latest epoch after every
-// snapshot publish. Deliveries are coalesced — a slow receiver
-// observes the newest epoch rather than a backlog, and a subscriber
-// can never stall a lifecycle pass. The channel closes when ctx is
-// cancelled. It is the minimal change feed gateways and caching tiers
-// poll-free detect member topology changes with; cmd/topkd serves the
-// same number under GET /v1/epoch for remote watchers.
-func (s *Sharded) WatchEpoch(ctx context.Context) <-chan uint64 { return s.r.WatchEpoch(ctx) }
 
 // Splits returns the number of automatic shard splits since creation.
 func (s *Sharded) Splits() int64 { return s.r.Splits() }

@@ -1,7 +1,6 @@
 package topk
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -358,65 +357,5 @@ func TestShardedStatsAndRebalance(t *testing.T) {
 	}
 	if idx.String() == "" {
 		t.Fatal("empty String")
-	}
-}
-
-// TestWatchEpoch covers the minimal epoch change feed: the current
-// epoch arrives immediately, every later topology publish is
-// observable (coalesced to the latest value, never blocking the
-// publisher), and cancellation closes the channel.
-func TestWatchEpoch(t *testing.T) {
-	idx := mustNewSharded(t, testShardedConfig(4))
-	for i := 0; i < 100; i++ {
-		if err := idx.Insert(float64(i), float64(i)+0.5); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ch := idx.WatchEpoch(ctx)
-	select {
-	case e := <-ch:
-		if e != uint64(idx.Epoch()) {
-			t.Fatalf("first delivery %d, want current epoch %d", e, idx.Epoch())
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no immediate delivery of the current epoch")
-	}
-	before := uint64(idx.Epoch())
-	// Several rapid publishes: the subscriber must observe the newest
-	// epoch without requiring one delivery per publish.
-	idx.Rebalance(2)
-	idx.Rebalance(4)
-	idx.ResetStats() // also publishes
-	want := uint64(idx.Epoch())
-	if want <= before {
-		t.Fatalf("epoch did not advance: %d -> %d", before, want)
-	}
-	deadline := time.After(2 * time.Second)
-	for {
-		select {
-		case e := <-ch:
-			if e == want {
-				goto cancelled
-			}
-			if e < before {
-				t.Fatalf("stale epoch %d delivered after %d", e, before)
-			}
-		case <-deadline:
-			t.Fatalf("latest epoch %d never delivered", want)
-		}
-	}
-cancelled:
-	cancel()
-	deadline = time.After(2 * time.Second)
-	for {
-		select {
-		case _, ok := <-ch:
-			if !ok {
-				return // closed, as promised
-			}
-		case <-deadline:
-			t.Fatal("channel not closed after cancel")
-		}
 	}
 }

@@ -8,9 +8,10 @@ import (
 	"repro/internal/point"
 )
 
-// This file is the v1 API surface shared by both backends: the Store
-// interface, the batched-read Query type, and the sentinel errors of
-// the error-returning update path. See DESIGN.md ("API v1") for the
+// This file is the v1 API surface shared by every backend: the Store
+// interface, the Query and BatchOp aliases of internal/point's
+// vocabulary, and the sentinel errors of the error-returning update
+// path. See DESIGN.md ("API v1") for the
 // error-semantics table.
 
 // Sentinel errors. Constructors report ErrConfig; Insert and the
@@ -37,10 +38,7 @@ var (
 
 // Query is one read of a QueryBatch: the K highest-scoring points
 // with position in [X1, X2].
-type Query struct {
-	X1, X2 float64
-	K      int
-}
+type Query = point.Query
 
 // Store is the serving interface implemented by both *Index (one
 // sequential EM machine) and *Sharded (a concurrent fleet of them).
@@ -108,10 +106,7 @@ var (
 
 // BatchOp is one operation of an ApplyBatch call: an insert of
 // (X, Score), or a delete when Delete is set.
-type BatchOp struct {
-	Delete   bool
-	X, Score float64
-}
+type BatchOp = point.Op
 
 // validatePoints checks a bulk-load input against the paper's
 // standing assumptions: finite coordinates, distinct positions,
@@ -120,7 +115,7 @@ func validatePoints(pts []Result) error {
 	seenX := make(map[float64]struct{}, len(pts))
 	seenS := make(map[float64]struct{}, len(pts))
 	for i, r := range pts {
-		if !(point.P{X: r.X, Score: r.Score}).Finite() {
+		if !r.Finite() {
 			return fmt.Errorf("topk: load point %d (%v, %v): %w", i, r.X, r.Score, ErrInvalidPoint)
 		}
 		if _, dup := seenX[r.X]; dup {

@@ -349,9 +349,9 @@ func TestChurnDifferential(t *testing.T) {
 			t.Fatalf("%s: Len %d vs %d", phase, sharded.Len(), single.Len())
 		}
 		qs := gen.Queries(50, 1e6, 0.001, 0.9, 150)
-		qs = append(qs, workload.QuerySpec{X1: math.Inf(-1), X2: math.Inf(1), K: 5000})
+		qs = append(qs, Query{X1: math.Inf(-1), X2: math.Inf(1), K: 5000})
 		for _, cut := range sharded.Boundaries() {
-			qs = append(qs, workload.QuerySpec{X1: cut - 1e4, X2: cut + 1e4, K: 50})
+			qs = append(qs, Query{X1: cut - 1e4, X2: cut + 1e4, K: 50})
 		}
 		for _, q := range qs {
 			got, want := sharded.TopK(q.X1, q.X2, q.K), single.TopK(q.X1, q.X2, q.K)

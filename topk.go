@@ -42,7 +42,6 @@ package topk
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/core"
 	"repro/internal/em"
@@ -81,11 +80,8 @@ func (cfg Config) validate() error {
 	return nil
 }
 
-// Result is one reported point.
-type Result struct {
-	X     float64
-	Score float64
-}
+// Result is one reported point: position X, score Score.
+type Result = point.P
 
 // Index is a dynamic top-k range reporting index. Create with New; an
 // Index is not safe for concurrent use (the EM model is sequential —
@@ -117,11 +113,7 @@ func Load(cfg Config, pts []Result) (*Index, error) {
 		return nil, err
 	}
 	d := em.NewDisk(em.Config{B: cfg.BlockWords, M: cfg.MemoryWords})
-	ps := make([]point.P, len(pts))
-	for i, r := range pts {
-		ps[i] = point.P{X: r.X, Score: r.Score}
-	}
-	return &Index{disk: d, ix: core.Bulk(d, coreOptions(cfg), ps)}, nil
+	return &Index{disk: d, ix: core.Bulk(d, coreOptions(cfg), pts)}, nil
 }
 
 func coreOptions(cfg Config) core.Options {
@@ -171,11 +163,11 @@ func (x *Index) ApplyBatch(ops []BatchOp) []error {
 	res := make([]error, len(ops))
 	for i, op := range ops {
 		if op.Delete {
-			if !x.Delete(op.X, op.Score) {
+			if !x.ix.Delete(op.Point()) {
 				res[i] = ErrNotFound
 			}
 		} else {
-			res[i] = x.Insert(op.X, op.Score)
+			res[i] = x.ix.Insert(op.Point())
 		}
 	}
 	return res
@@ -185,23 +177,20 @@ func (x *Index) ApplyBatch(ops []BatchOp) []error {
 // in descending score order; if fewer than k qualify, all are returned.
 // k ≤ 0, inverted or NaN bounds return nil.
 func (x *Index) TopK(x1, x2 float64, k int) []Result {
-	if math.IsNaN(x1) || math.IsNaN(x2) {
+	if !(Query{X1: x1, X2: x2, K: k}).Valid() {
 		return nil
 	}
 	return toResults(x.ix.Query(x1, x2, k))
 }
 
-// toResults converts internal points; empty in, nil out, so both
-// backends agree byte-for-byte on no-hit queries.
+// toResults turns an empty answer into nil, so every backend agrees
+// byte-for-byte on no-hit queries. A non-empty answer is returned as
+// is: each tier hands back a slice it allocated for this call.
 func toResults(pts []point.P) []Result {
 	if len(pts) == 0 {
 		return nil
 	}
-	out := make([]Result, len(pts))
-	for i, p := range pts {
-		out[i] = Result{X: p.X, Score: p.Score}
-	}
-	return out
+	return pts
 }
 
 // QueryBatch answers qs as a sequential loop of TopK calls, aligned
